@@ -34,6 +34,7 @@ from .fidelity import (
     matsumoto_fidelity,
     sandwiched_renyi,
     spectral_fidelity,
+    spectral_fidelity_curve,
     uhlmann_fidelity,
 )
 from .linalg import (
@@ -109,6 +110,7 @@ __all__ = [
     "FidelityValue",
     "FvgBounds",
     "spectral_fidelity",
+    "spectral_fidelity_curve",
     "uhlmann_fidelity",
     "matsumoto_fidelity",
     "sandwiched_renyi",

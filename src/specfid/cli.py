@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -424,9 +425,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_VECTOR = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_vectors(argv: list[str]) -> list[str]:
+    """Join `--bloch -0.5,0.1,0.4` into `--bloch=-0.5,0.1,0.4`.
+
+    argparse reads a separate value that starts with a minus sign and is
+    not a plain number as an option, so a Bloch vector with a negative
+    first component would otherwise be rejected.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--bloch" and _NEGATIVE_VECTOR.match(arg):
+            out[-1] = f"--bloch={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = parser.parse_args(_attach_negative_vectors(argv))
     try:
         config = {}
         if getattr(ns, "config", None):
@@ -434,12 +455,13 @@ def main(argv=None) -> int:
             if not isinstance(config, dict):
                 raise ParamError("config file must hold a JSON object")
         cfg = _resolve(ns, config)
-        for name, value in cfg.tol_overrides:
-            try:
-                TOL.override(name, value)
-            except KeyError as exc:
-                raise ParamError(exc.args[0]) from exc
-        return ns.func(ns, cfg)
+        with TOL.scoped():
+            for name, value in cfg.tol_overrides:
+                try:
+                    TOL.override(name, value)
+                except KeyError as exc:
+                    raise ParamError(exc.args[0]) from exc
+            return ns.func(ns, cfg)
     except (SpecfidError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,16 @@
 """Numerical tolerances shared by every module.
 
 A single mutable instance holds the process-wide settings so the CLI can
-apply overrides before any computation starts.  Library code reads the
-attributes at call time and never caches them.
+apply overrides before any computation starts, inside a scope that
+restores them when the run ends.  Library code reads the attributes at
+call time and never caches them.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import Iterator
 
 
 @dataclass
@@ -36,6 +39,16 @@ class Tolerances:
         if name not in {f.name for f in fields(self)}:
             raise KeyError(f"unknown tolerance {name!r}")
         setattr(self, name, float(value))
+
+    @contextmanager
+    def scoped(self) -> Iterator[None]:
+        """Restore every tolerance on exit, whatever the block overrode."""
+        saved = dict(vars(self))
+        try:
+            yield
+        finally:
+            for name, value in saved.items():
+                setattr(self, name, value)
 
 
 TOL = Tolerances()

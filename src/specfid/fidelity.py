@@ -14,8 +14,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NormalizationError, ParamError, SupportError
-from .linalg import frac_power, hermitize, psd_cutoff, support_projector, trace_norm
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    NormalizationError,
+    ParamError,
+    SupportError,
+)
+from .linalg import (
+    eig,
+    frac_power,
+    hermitize,
+    psd_cutoff,
+    support_cutoff,
+    support_projector,
+    trace_norm,
+)
 from .means import geometric_mean, mix_identity, riccati_solution
 from .states import DensityMatrix
 
@@ -48,6 +62,65 @@ def _check_pair(rho: DensityMatrix, sigma: DensityMatrix) -> None:
         raise DimensionMismatch(f"state dims differ: {rho.dim} vs {sigma.dim}")
 
 
+def _power_traces(rho: np.ndarray, x: np.ndarray, ts) -> list[float]:
+    """Tr[rho X^(2t)] for every t, the power restricted to the support of X.
+
+    One decomposition X = sum_k lam_k |v_k><v_k| serves the whole grid:
+    the trace is sum_k w_k lam_k^(2t) over the support, with weights
+    w_k = <v_k|rho|v_k>.  Each value is computed the same way whatever
+    the grid, so a one-point grid reproduces any point of a longer one
+    exactly.  At t = 1/2 the power is X itself and the trace Tr[rho X]
+    needs no decomposition.
+    """
+    values = []
+    lam = weights = None
+    for t in ts:
+        if t == 0.5:
+            values.append(float(np.real(np.trace(rho @ x))))
+            continue
+        if lam is None:
+            w, v = eig(x)
+            if float(w[0]) < -psd_cutoff(x):
+                raise DomainError(f"matrix is not PSD: min eigenvalue {float(w[0]):.3e}")
+            w = np.clip(w, 0.0, None)
+            on = w > support_cutoff(w)
+            lam, v = w[on], v[:, on]
+            weights = (v.conj() * (rho @ v)).real.sum(axis=0)
+        values.append(float((weights * lam ** (2 * t)).sum()))
+    return values
+
+
+def spectral_fidelity_curve(
+    rho: DensityMatrix,
+    sigma: DensityMatrix,
+    ts,
+    extended: bool = False,
+    regularization: float | None = None,
+) -> list[float]:
+    """F_t(rho, sigma) at every t of a grid from one Riccati solve.
+
+    With X = rho^{-1} # sigma = sum_k lam_k |v_k><v_k| the family is
+    F_t = sum_k w_k lam_k^(2t), w_k = <v_k|rho|v_k> >= 0, summed over the
+    support of X; a grid of any length therefore costs one Riccati
+    solution and one eigendecomposition, and t = 1/2 is read off as
+    Tr[rho X] without one.  Parameters and regularization follow
+    spectral_fidelity, which is this curve at a single point.
+    """
+    _check_pair(rho, sigma)
+    ts = [float(t) for t in ts]
+    if not extended:
+        for t in ts:
+            if not 0.0 <= t <= 1.0:
+                raise ParamError(f"parameter t = {t} outside [0, 1]")
+    rho_m, sigma_m = rho.mat, sigma.mat
+    if regularization is not None:
+        if not 0.0 < regularization < 1.0:
+            raise ParamError(f"regularization eps = {regularization} outside (0, 1)")
+        rho_m = mix_identity(rho_m, regularization)
+        sigma_m = mix_identity(sigma_m, regularization)
+    return _power_traces(rho_m, riccati_solution(rho_m, sigma_m), ts)
+
+
 def spectral_fidelity(
     rho: DensityMatrix,
     sigma: DensityMatrix,
@@ -68,23 +141,13 @@ def spectral_fidelity(
 
     When one input is detected rank-one, the matching closed form
     (overlap^t for rank-one rho, overlap^{1-t} for rank-one sigma) is
-    recorded in cross_checks for auditing.
+    recorded in cross_checks for auditing.  The value equals the
+    matching point of spectral_fidelity_curve bit for bit.
     """
-    _check_pair(rho, sigma)
-    if not extended and not 0.0 <= t <= 1.0:
-        raise ParamError(f"parameter t = {t} outside [0, 1]")
+    (value,) = spectral_fidelity_curve(rho, sigma, [t], extended, regularization)
     t = float(t)
     if regularization is not None:
-        if not 0.0 < regularization < 1.0:
-            raise ParamError(f"regularization eps = {regularization} outside (0, 1)")
-        rho_m = mix_identity(rho.mat, regularization)
-        sigma_m = mix_identity(sigma.mat, regularization)
-        x = riccati_solution(rho_m, sigma_m)
-        value = float(np.real(np.trace(rho_m @ frac_power(x, 2 * t, support_only=True))))
         return FidelityValue(value, t=t, method="spectral_regularized")
-
-    x = riccati_solution(rho.mat, sigma.mat)
-    value = float(np.real(np.trace(rho.mat @ frac_power(x, 2 * t, support_only=True))))
 
     checks: list[tuple[str, float]] = []
     if rho.rank == 1:

@@ -77,6 +77,18 @@ def test_fidelity_bloch_inputs(capsys):
     )
 
 
+def test_fidelity_bloch_negative_component(capsys):
+    # a vector with a leading minus sign is a value, not an option
+    spaced = _run(capsys, ["fidelity", "--bloch", "-0.5,0.1,0.4",
+                           "--bloch", "0,0,1", "--no-timestamp"])
+    joined = _run(capsys, ["fidelity", "--bloch=-0.5,0.1,0.4",
+                           "--bloch", "0,0,1", "--no-timestamp"])
+    assert spaced[0] == 0
+    assert spaced == joined
+    # sigma is pure on the z axis: F_1/2 = overlap^(1/2), overlap (1 + 0.4)/2
+    assert json.loads(spaced[1])["value"] == pytest.approx(0.7**0.5, abs=1e-12)
+
+
 def test_fidelity_all_families(capsys, diag_pair):
     a, b = diag_pair
     code, out, _ = _run(
@@ -249,15 +261,29 @@ def test_config_file_validation(capsys, tmp_path):
 
 def test_tolerance_override(capsys, diag_pair):
     a, b = diag_pair
+    before = TOL.psd_tol
     code, _, _ = _run(
         capsys,
         ["fidelity", a, b, "--tol-override", "psd_tol=1e-9", "--no-timestamp"],
     )
     assert code == 0
-    assert TOL.psd_tol == 1e-9
+    # the override lasts for its own run only
+    assert TOL.psd_tol == before
     code, _, err = _run(capsys, ["fidelity", a, b, "--tol-override", "bogus=1"])
     assert code == 2
     assert "bogus" in err
+
+
+def test_tolerance_override_reaches_suite_verdicts(capsys):
+    # dpi_monotone judges against dpi_margin as it stands when the suite
+    # runs; a margin above every drop turns the predicted failure off.
+    argv = ["verify", "dpi_monotone", "--samples", "30", "--no-timestamp"]
+    code, out, _ = _run(capsys, argv)
+    assert json.loads(out)["reports"][0]["verdict"] == "fails_as_predicted"
+    code, out, _ = _run(capsys, argv + ["--tol-override", "dpi_margin=1"])
+    assert code == 0
+    assert json.loads(out)["reports"][0]["verdict"] == "holds"
+    assert TOL.dpi_margin == 1e-7
 
 
 def test_output_file_and_determinism(capsys, tmp_path):
@@ -283,6 +309,19 @@ def test_dpi_search_off_midpoint(capsys):
     record = json.loads(out)
     assert record["verdict"] == "fails_as_predicted"
     witness = record["witness"]
+    assert witness["f_after"] < witness["f_before"] - 1e-7
+
+
+def test_dpi_search_above_two_dimensions(capsys):
+    code, out, _ = _run(
+        capsys, ["dpi-search", "--t", "0.8", "--dims", "3", "--no-timestamp"]
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["verdict"] == "fails_as_predicted"
+    assert record["dim"] == 3
+    witness = record["witness"]
+    assert witness["rho"]["dim"] == 3
     assert witness["f_after"] < witness["f_before"] - 1e-7
 
 

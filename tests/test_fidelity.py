@@ -18,10 +18,14 @@ from specfid import (
     random_density,
     sandwiched_renyi,
     spectral_fidelity,
+    spectral_fidelity_curve,
     trial_rng,
     uhlmann_fidelity,
 )
-from specfid.errors import DimensionMismatch, SupportError
+from specfid.errors import DimensionMismatch, DomainError, SupportError
+from specfid.fidelity import _power_traces
+from specfid.linalg import frac_power
+from specfid.means import riccati_solution
 
 # Reference qubit pair on which the family drops under pinching at
 # t = 0.8; values frozen from the library's own evaluation and agreeing
@@ -287,3 +291,75 @@ def test_bloch_pair_closed_form():
         assert spectral_fidelity(rho, sigma, t).value == pytest.approx(
             overlap**t, abs=1e-12
         )
+
+
+def _per_t_reference(rho, sigma, t):
+    """The matrix route: Tr[rho X^(2t)] with the power formed explicitly."""
+    x = riccati_solution(rho.mat, sigma.mat)
+    return float(np.real(np.trace(rho.mat @ frac_power(x, 2 * t, support_only=True))))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("kind", ["full", "pure_rho", "pure_sigma", "half_rank"])
+def test_curve_matches_per_t_matrix_route(dim, kind):
+    rng = trial_rng(31, dim)
+    ranks = {
+        "full": (dim, dim),
+        "pure_rho": (1, dim),
+        "pure_sigma": (dim, 1),
+        "half_rank": (dim // 2, dim),
+    }[kind]
+    rho = random_density(dim, ranks[0], rng)
+    sigma = random_density(dim, ranks[1], rng)
+    grid = [-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]
+    curve = spectral_fidelity_curve(rho, sigma, grid, extended=True)
+    for t, value in zip(grid, curve):
+        expect = _per_t_reference(rho, sigma, t)
+        assert value == pytest.approx(expect, abs=1e-12), t
+
+
+def test_single_point_equals_curve_point_exactly():
+    rng = trial_rng(32, 0)
+    grid = [round(0.05 * k, 10) for k in range(21)]
+    for rank in (1, 2, 3):
+        rho = random_density(3, rank, rng)
+        sigma = random_density(3, 3, rng)
+        curve = spectral_fidelity_curve(rho, sigma, grid)
+        reversed_curve = spectral_fidelity_curve(rho, sigma, grid[::-1])
+        for i, t in enumerate(grid):
+            assert spectral_fidelity(rho, sigma, t).value == curve[i]
+            assert reversed_curve[-1 - i] == curve[i]
+        regularized = spectral_fidelity_curve(rho, sigma, grid, regularization=1e-6)
+        for i, t in enumerate(grid):
+            single = spectral_fidelity(rho, sigma, t, regularization=1e-6)
+            assert single.value == regularized[i]
+
+
+def test_curve_midpoint_is_the_uhlmann_trace():
+    rng = trial_rng(33, 0)
+    rho, sigma = random_density(4, 4, rng), random_density(4, 2, rng)
+    x = riccati_solution(rho.mat, sigma.mat)
+    (mid,) = spectral_fidelity_curve(rho, sigma, [0.5])
+    assert mid == float(np.real(np.trace(rho.mat @ x)))
+    assert mid == pytest.approx(uhlmann_fidelity(rho, sigma).value, abs=1e-12)
+
+
+def test_curve_validation():
+    rho = DensityMatrix(np.diag([0.3, 0.7]))
+    sigma = DensityMatrix(np.diag([0.6, 0.4]))
+    with pytest.raises(ParamError):
+        spectral_fidelity_curve(rho, sigma, [0.0, 1.2])
+    with pytest.raises(ParamError):
+        spectral_fidelity_curve(rho, sigma, [0.3], regularization=0.0)
+    with pytest.raises(DimensionMismatch):
+        spectral_fidelity_curve(rho, DensityMatrix(np.eye(3) / 3), [0.3])
+    assert spectral_fidelity_curve(rho, sigma, []) == []
+
+
+def test_power_traces_rejects_non_psd_x():
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    x = np.diag([1.0, -0.1]).astype(complex)
+    with pytest.raises(DomainError):
+        _power_traces(rho, x, [0.3])
+    # t = 1/2 needs no decomposition, so no check runs there.
+    assert _power_traces(rho, x, [0.5]) == [pytest.approx(0.45)]

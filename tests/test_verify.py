@@ -15,12 +15,14 @@ from specfid import (
     dpi_analytic_family,
     list_properties,
     pure_state,
+    random_density,
     replay_reference_counterexample,
     run_suite,
     search_dpi_violation,
     second_fvg_failure,
     spectral_fidelity,
     t_sweep,
+    trial_rng,
 )
 
 REPORT_KEYS = ["property", "verdict", "max_violation", "witness", "seed", "samples"]
@@ -266,6 +268,39 @@ def test_t_sweep_log_of_zero_value():
     curve = t_sweep(rho, sigma, [0.25, 0.5, 0.75])
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in curve.values)
     assert all(lv == -math.inf for lv in curve.log_values)
+
+
+@pytest.mark.parametrize("steps", [2, 201])
+def test_t_sweep_costs_three_eigh_calls_at_any_grid_length(monkeypatch, steps):
+    rng = trial_rng(34, 0)
+    rho, sigma = random_density(3, 3, rng), random_density(3, 3, rng)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(mat):
+        calls.append(mat.shape)
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    curve = t_sweep(rho, sigma, np.linspace(0.0, 1.0, steps))
+    assert len(curve.values) == steps
+    # two for the Riccati solution, one for the whole curve
+    assert len(calls) == 3
+
+
+def test_variational_minimizer_reports_no_negative_violation():
+    report = run_suite("variational_minimizer", n_samples=20)
+    assert report.max_violation >= 0.0
+    assert report.verdict == "holds"
+
+
+def test_search_finds_witness_above_two_dimensions():
+    for t in (0.2, 0.8):
+        for dim in (3, 4):
+            witness = search_dpi_violation(t, dim=dim, n_trials=30, rng_seed=42)
+            assert witness is not None, (t, dim)
+            assert witness.rho.dim == dim
+            assert witness.f_after < witness.f_before - 1e-7
 
 
 def test_witness_replayability():
