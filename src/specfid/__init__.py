@@ -44,16 +44,13 @@ from .linalg import (
     frac_power,
     hermitize,
     is_psd,
-    matrix_function,
     support_projector,
     trace_norm,
 )
 from .means import (
-    PositivePair,
     geometric_mean,
     mix_identity,
     riccati_solution,
-    spectral_mean,
     variational_objective,
     weighted_spectral_mean,
 )
@@ -73,10 +70,8 @@ from .states import (
     pinching,
     pure_state,
     random_density,
-    random_kraus_channel,
     random_unitary,
     tensor,
-    to_bloch,
     trial_rng,
 )
 from .verify import (
@@ -119,27 +114,22 @@ __all__ = [
     "as_hermitian",
     "hermitize",
     "eig",
-    "matrix_function",
     "frac_power",
     "block_psd",
     "is_psd",
     "support_projector",
     "trace_norm",
-    "PositivePair",
     "geometric_mean",
     "riccati_solution",
-    "spectral_mean",
     "weighted_spectral_mean",
     "variational_objective",
     "mix_identity",
     "DensityMatrix",
     "Channel",
     "from_bloch",
-    "to_bloch",
     "pure_state",
     "random_density",
     "random_unitary",
-    "random_kraus_channel",
     "orthogonal_pair",
     "pinching",
     "apply",

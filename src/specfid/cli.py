@@ -27,7 +27,7 @@ from .fidelity import (
     spectral_fidelity,
     uhlmann_fidelity,
 )
-from .serialize import dumps, fidelity_to_json, state_from_json, write_csv
+from .serialize import dumps, state_from_json, write_csv
 from .states import DensityMatrix, from_bloch
 from .verify import (
     list_properties,
@@ -43,8 +43,7 @@ from .verify import (
 class RunConfig:
     """Resolved settings for one invocation.
 
-    Round-trips through to_json/from_json so a run can be recorded and
-    replayed exactly.
+    to_json gives the record of a run's resolved settings.
     """
 
     command: str
@@ -79,21 +78,6 @@ class RunConfig:
             "alpha": list(self.alpha),
             "tol_overrides": [[k, v] for k, v in self.tol_overrides],
         }
-
-    @classmethod
-    def from_json(cls, record: dict) -> "RunConfig":
-        return cls(
-            command=record["command"],
-            seed=int(record["seed"]),
-            samples=None if record["samples"] is None else int(record["samples"]),
-            dims=None if record["dims"] is None else tuple(record["dims"]),
-            t=None if record["t"] is None else float(record["t"]),
-            fmt=record["format"],
-            output=record["output"],
-            no_timestamp=bool(record["no_timestamp"]),
-            alpha=tuple(float(a) for a in record["alpha"]),
-            tol_overrides=tuple((k, float(v)) for k, v in record["tol_overrides"]),
-        )
 
 
 def _parse_ints(text) -> tuple[int, ...]:
@@ -198,7 +182,7 @@ def _cmd_fidelity(ns: argparse.Namespace, cfg: RunConfig) -> int:
     rho, sigma = _load_states(ns)
     t = 0.5 if cfg.t is None else cfg.t
     result = spectral_fidelity(rho, sigma, t)
-    record = fidelity_to_json(result.value, result.t, result.method)
+    record = {"t": result.t, "value": result.value, "method": result.method}
     if result.cross_checks:
         record["cross_checks"] = {name: value for name, value in result.cross_checks}
     if ns.all:
@@ -290,7 +274,6 @@ def _cmd_dpi_search(ns: argparse.Namespace, cfg: RunConfig) -> int:
         dim=dim,
         n_trials=trials,
         rng_seed=cfg.seed,
-        channel_family=ns.channel_family,
     )
     at_midpoint = abs(cfg.t - 0.5) <= 1e-12
     if witness is None:

@@ -19,12 +19,6 @@ class Tolerances:
     herm_tol: float = 1e-10
     # PSD cutoff scale; effective cutoff is psd_tol * max(1, max|M_ij|).
     psd_tol: float = 1e-10
-    # Eigendecomposition reconstruction bound.
-    recon_tol: float = 1e-9
-    # Eigenvector orthonormality bound.
-    ortho_tol: float = 1e-10
-    # Fidelity bound checks.
-    fid_tol: float = 1e-9
     # A data-processing violation must exceed this margin to count.
     dpi_margin: float = 1e-7
     # Default mixing weight for the identity-regularization path.

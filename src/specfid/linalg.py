@@ -7,7 +7,7 @@ primitives; matrices are plain complex numpy arrays.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,34 +73,6 @@ def eig(mat: np.ndarray) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
     return EigenSystem(w, v)
-
-
-def matrix_function(
-    mat: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    support_only: bool = False,
-) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix by spectral calculus.
-
-    Eigenvalues in [-cutoff, 0) are clipped to zero first.  With
-    support_only, f acts only on eigenvalues above the support cutoff
-    and the rest map to zero; otherwise f must be defined on every
-    clipped eigenvalue.
-    """
-    w, v = eig(mat)
-    cutoff = psd_cutoff(mat)
-    w = np.where((w < 0) & (w >= -cutoff), 0.0, w)
-    if support_only:
-        on = w > support_cutoff(w)
-        fw = np.zeros_like(w)
-        if np.any(on):
-            fw[on] = f(w[on])
-    else:
-        with np.errstate(all="ignore"):
-            fw = np.asarray(f(w), dtype=float)
-    if not np.all(np.isfinite(fw)):
-        raise DomainError("function undefined on part of the spectrum")
-    return hermitize((v * fw) @ v.conj().T)
 
 
 def frac_power(mat: np.ndarray, alpha: float, support_only: bool = False) -> np.ndarray:

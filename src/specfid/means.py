@@ -7,12 +7,10 @@ regularization route used by limiting arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, DomainError, ParamError
+from .errors import DomainError, ParamError
 from .linalg import (
     as_hermitian,
     eig,
@@ -21,31 +19,6 @@ from .linalg import (
     psd_cutoff,
     support_cutoff,
 )
-
-
-@dataclass(frozen=True)
-class PositivePair:
-    """Two same-dimension PSD matrices, each flagged strictly positive or not."""
-
-    a: np.ndarray
-    b: np.ndarray
-    a_definite: bool
-    b_definite: bool
-
-    @classmethod
-    def of(cls, a: np.ndarray, b: np.ndarray) -> "PositivePair":
-        a = as_hermitian(a)
-        b = as_hermitian(b)
-        if a.shape != b.shape:
-            raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-        flags = []
-        for mat in (a, b):
-            w, _ = eig(mat)
-            cutoff = psd_cutoff(mat)
-            if float(w[0]) < -cutoff:
-                raise DomainError(f"matrix is not PSD: min eigenvalue {float(w[0]):.3e}")
-            flags.append(bool(w[0] > cutoff))
-        return cls(a, b, flags[0], flags[1])
 
 
 def _sqrt_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,6 +35,20 @@ def _sqrt_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half, inv_half
 
 
+def _mean(a: np.ndarray, b: np.ndarray, riccati: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Shared body of the three means; returns the mean and A^{1/2}.
+
+    The geometric mean is P (Q B Q)^{1/2} P with P = A^{1/2} and
+    Q = A^{-1/2}, the Riccati solution the same with the two roots
+    swapped; both roots come from one decomposition of A.
+    """
+    a_half, a_ihalf = _sqrt_pair(a)
+    outer, inner = (a_ihalf, a_half) if riccati else (a_half, a_ihalf)
+    quarter = frac_power(hermitize(inner @ b @ inner), 0.25, support_only=True)
+    m = quarter @ outer
+    return hermitize(m.conj().T @ m), a_half
+
+
 def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mean A^{1/2}(A^{-1/2} B A^{-1/2})^{1/2} A^{1/2} of PSD matrices.
 
@@ -70,10 +57,7 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     in Gram form M* M so the output stays PSD to rounding even when A is
     ill conditioned.
     """
-    a_half, a_ihalf = _sqrt_pair(as_hermitian(a))
-    quarter = frac_power(hermitize(a_ihalf @ b @ a_ihalf), 0.25, support_only=True)
-    m = quarter @ a_half
-    return hermitize(m.conj().T @ m)
+    return _mean(as_hermitian(a), b, riccati=False)[0]
 
 
 def riccati_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,19 +68,17 @@ def riccati_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     singular.  Assembled in Gram form M* M so the output stays PSD to
     rounding even when A is ill conditioned.
     """
-    a_half, a_ihalf = _sqrt_pair(as_hermitian(a))
-    quarter = frac_power(hermitize(a_half @ b @ a_half), 0.25, support_only=True)
-    m = quarter @ a_ihalf
-    return hermitize(m.conj().T @ m)
+    return _mean(as_hermitian(a), b, riccati=True)[0]
 
 
-def spectral_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Spectral mean X^{1/2} A X^{1/2} with X the Riccati solution.
-
-    Its eigenvalues are the positive square roots of the eigenvalues of
-    the product A B.
-    """
-    return weighted_spectral_mean(a, b, 0.5)
+def _spectral_means(a: np.ndarray, b: np.ndarray, ts) -> list[np.ndarray]:
+    """X^t A X^t for every t of a grid from one Riccati solve."""
+    x, a_half = _mean(as_hermitian(a), as_hermitian(b), riccati=True)
+    means = []
+    for t in ts:
+        m = a_half @ frac_power(x, float(t), support_only=True)
+        means.append(hermitize(m.conj().T @ m))
+    return means
 
 
 def weighted_spectral_mean(
@@ -104,20 +86,16 @@ def weighted_spectral_mean(
 ) -> np.ndarray:
     """Weighted mean X^t A X^t with X the Riccati solution of the pair.
 
-    Interpolates from A at t = 0 to B at t = 1.  Parameters outside
-    [0, 1] are rejected unless extended is set (used by divergence-style
-    sweeps over the whole real line).
+    Interpolates from A at t = 0 to B at t = 1; the midpoint t = 1/2 is
+    the spectral mean, whose eigenvalues are the positive square roots of
+    the eigenvalues of the product A B.  Parameters outside [0, 1] are
+    rejected unless extended is set (used by divergence-style sweeps
+    over the whole real line).
     """
     if not extended and not 0.0 <= t <= 1.0:
         raise ParamError(f"weight t = {t} outside [0, 1]")
-    a = as_hermitian(a)
-    a_half, a_ihalf = _sqrt_pair(a)
-    quarter = frac_power(hermitize(a_half @ as_hermitian(b) @ a_half), 0.25, support_only=True)
-    m = quarter @ a_ihalf
-    x = hermitize(m.conj().T @ m)
-    xt = frac_power(x, float(t), support_only=True)
-    m = a_half @ xt
-    return hermitize(m.conj().T @ m)
+    (mean,) = _spectral_means(a, b, [t])
+    return mean
 
 
 def variational_objective(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:

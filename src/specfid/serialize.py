@@ -1,4 +1,4 @@
-"""Deterministic JSON and CSV emission, and matrix/state/channel parsing.
+"""Deterministic JSON and CSV emission, and matrix/state parsing.
 
 All floats are written with 17 significant digits so that equal inputs
 produce byte-identical output and values round-trip through text.
@@ -12,7 +12,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NormalizationError
-from .states import Channel, DensityMatrix
+from .states import DensityMatrix
 
 
 def fmt_float(x: float) -> str:
@@ -97,21 +97,6 @@ def state_from_json(record: dict) -> DensityMatrix:
     if kind != "density":
         raise NormalizationError(f"expected a density record, got type {kind!r}")
     return DensityMatrix(matrix_from_json(record))
-
-
-def channel_to_json(channel: Channel) -> dict:
-    return {"kraus": [matrix_to_json(k) for k in channel.kraus]}
-
-
-def channel_from_json(record: dict) -> Channel:
-    kraus = record.get("kraus")
-    if not isinstance(kraus, list) or not kraus:
-        raise DomainError("channel record needs a non-empty 'kraus' list")
-    return Channel(tuple(matrix_from_json(k) for k in kraus))
-
-
-def fidelity_to_json(value: float, t: float | None, method: str) -> dict:
-    return {"t": t, "value": value, "method": method}
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

@@ -65,13 +65,6 @@ def from_bloch(r) -> DensityMatrix:
     return DensityMatrix(mat / 2)
 
 
-def to_bloch(rho: DensityMatrix) -> np.ndarray:
-    """Real 3-vector of Pauli expectations of a qubit state."""
-    if rho.dim != 2:
-        raise DimensionMismatch(f"Bloch vector needs a qubit, got dim {rho.dim}")
-    return np.array([float(np.real(np.trace(rho.mat @ p))) for p in _PAULI])
-
-
 def pure_state(psi) -> DensityMatrix:
     """Rank-one projector onto a nonzero vector, normalized internally."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -150,18 +143,6 @@ def pinching(basis_dim: int) -> Channel:
         raise ParamError(f"dimension {basis_dim} must be positive")
     eye = np.eye(basis_dim, dtype=complex)
     return Channel(tuple(np.outer(eye[i], eye[i]) for i in range(basis_dim)))
-
-
-def random_kraus_channel(dim: int, n_kraus: int, seed) -> Channel:
-    """Random channel from a Haar isometry split into n_kraus blocks."""
-    if n_kraus < 1:
-        raise ParamError(f"need at least one Kraus operator, got {n_kraus}")
-    rng = _as_generator(seed)
-    g = rng.standard_normal((dim * n_kraus, dim)) + 1j * rng.standard_normal(
-        (dim * n_kraus, dim)
-    )
-    q, _ = np.linalg.qr(g)
-    return Channel(tuple(q[i * dim : (i + 1) * dim] for i in range(n_kraus)))
 
 
 def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:

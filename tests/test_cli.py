@@ -48,6 +48,7 @@ def test_fidelity_json_record(capsys, diag_pair):
     code, out, _ = _run(capsys, ["fidelity", a, b, "--t", "0.7"])
     assert code == 0
     record = json.loads(out)
+    assert list(record)[:3] == ["t", "value", "method"]
     assert record["t"] == 0.7
     assert record["method"] == "spectral_general"
     assert "timestamp" in record
@@ -269,9 +270,11 @@ def test_tolerance_override(capsys, diag_pair):
     assert code == 0
     # the override lasts for its own run only
     assert TOL.psd_tol == before
-    code, _, err = _run(capsys, ["fidelity", a, b, "--tol-override", "bogus=1"])
-    assert code == 2
-    assert "bogus" in err
+    # recon_tol was once a tolerance that nothing read
+    for name in ("bogus", "recon_tol"):
+        code, _, err = _run(capsys, ["fidelity", a, b, "--tol-override", f"{name}=1"])
+        assert code == 2
+        assert name in err
 
 
 def test_tolerance_override_reaches_suite_verdicts(capsys):
@@ -416,24 +419,6 @@ def test_bad_samples_value(capsys, diag_pair):
     code, _, err = _run(capsys, ["fidelity", a, b, "--samples", "0"])
     assert code == 2
     assert "samples" in err
-
-
-def test_runconfig_roundtrip():
-    cfg = RunConfig(
-        command="verify",
-        seed=3,
-        samples=9,
-        dims=(2, 4),
-        t=0.25,
-        fmt="csv",
-        output="out.csv",
-        no_timestamp=True,
-        alpha=(0.5, 2.0),
-        tol_overrides=(("psd_tol", 1e-9),),
-    )
-    assert RunConfig.from_json(cfg.to_json()) == cfg
-    bare = RunConfig(command="fidelity")
-    assert RunConfig.from_json(bare.to_json()) == bare
 
 
 def test_runconfig_validation():

@@ -13,7 +13,6 @@ from specfid import (
     frac_power,
     hermitize,
     is_psd,
-    matrix_function,
     support_projector,
     trace_norm,
 )
@@ -56,21 +55,6 @@ def test_as_hermitian_rejects_bad_inputs():
 def test_hermitize_returns_hermitian_part():
     mat = np.array([[1.0, 2.0], [0.0, 1.0]])
     assert np.allclose(hermitize(mat), [[1.0, 1.0], [1.0, 1.0]])
-
-
-def test_matrix_function_exponential_diagonal():
-    out = matrix_function(np.diag([0.0, 1.0, 2.0]), np.exp)
-    assert np.allclose(np.diag(out), [1.0, np.e, np.e**2], atol=1e-14)
-
-
-def test_matrix_function_rejects_nonfinite_image():
-    with pytest.raises(DomainError):
-        matrix_function(np.diag([0.0, 1.0]), np.log)
-
-
-def test_matrix_function_support_only_skips_kernel():
-    out = matrix_function(np.diag([0.0, 4.0]), np.log, support_only=True)
-    assert np.allclose(np.diag(out), [0.0, np.log(4.0)], atol=1e-14)
 
 
 def test_frac_power_diagonal_oracle():

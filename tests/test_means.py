@@ -8,17 +8,14 @@ import pytest
 from specfid import (
     DomainError,
     ParamError,
-    PositivePair,
     frac_power,
     geometric_mean,
     hermitize,
     mix_identity,
     riccati_solution,
-    spectral_mean,
     variational_objective,
     weighted_spectral_mean,
 )
-from specfid.errors import DimensionMismatch
 from specfid.states import trial_rng
 
 
@@ -94,7 +91,7 @@ def test_spectral_mean_eigenvalue_law():
         rng = trial_rng(14, trial)
         dim = 2 + trial % 4
         a, b = _random_pd(dim, rng), _random_pd(dim, rng)
-        got = np.sort(np.linalg.eigvalsh(spectral_mean(a, b)))
+        got = np.sort(np.linalg.eigvalsh(weighted_spectral_mean(a, b, 0.5)))
         expect = np.sort(np.sqrt(np.real(np.linalg.eigvals(a @ b))))
         assert np.allclose(got, expect, atol=1e-10 * expect.max())
 
@@ -112,9 +109,6 @@ def test_weighted_mean_endpoints_and_midpoint():
     a, b = _random_pd(3, rng), _random_pd(3, rng)
     assert np.allclose(weighted_spectral_mean(a, b, 0.0), a, atol=1e-11)
     assert np.allclose(weighted_spectral_mean(a, b, 1.0), b, atol=1e-10)
-    assert np.allclose(
-        weighted_spectral_mean(a, b, 0.5), spectral_mean(a, b), atol=1e-12
-    )
 
 
 def test_weighted_mean_flip_law():
@@ -171,7 +165,7 @@ def test_variational_objective_minimum_at_riccati():
     x_star = riccati_solution(a, b)
     base = variational_objective(a, b, x_star)
     assert base == pytest.approx(
-        2.0 * float(np.real(np.trace(spectral_mean(a, b)))), rel=1e-10
+        2.0 * float(np.real(np.trace(weighted_spectral_mean(a, b, 0.5)))), rel=1e-10
     )
     for trial in range(25):
         rng2 = trial_rng(17, trial + 1)
@@ -184,15 +178,6 @@ def test_variational_objective_needs_positive_x():
     a, b = _random_pd(2, rng), _random_pd(2, rng)
     with pytest.raises(DomainError):
         variational_objective(a, b, np.diag([1.0, 0.0]))
-
-
-def test_positive_pair_validation():
-    pair = PositivePair.of(np.diag([1.0, 0.0]), np.eye(2))
-    assert not pair.a_definite and pair.b_definite
-    with pytest.raises(DomainError):
-        PositivePair.of(np.diag([-1.0, 1.0]), np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        PositivePair.of(np.eye(2), np.eye(3))
 
 
 def test_mix_identity():

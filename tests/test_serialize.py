@@ -9,24 +9,17 @@ import numpy as np
 import pytest
 
 from specfid import (
-    Channel,
     DensityMatrix,
     dumps,
     matrix_from_json,
     matrix_to_json,
-    pinching,
     state_from_json,
     state_to_json,
     trial_rng,
 )
+from specfid.cli import main
 from specfid.errors import DimensionMismatch, DomainError, NormalizationError
-from specfid.serialize import (
-    channel_from_json,
-    channel_to_json,
-    fidelity_to_json,
-    fmt_float,
-    write_csv,
-)
+from specfid.serialize import fmt_float, write_csv
 
 
 def test_fmt_float_round_trips_exactly():
@@ -82,18 +75,16 @@ def test_state_round_trip_and_validation():
         state_from_json({"type": "channel"})
 
 
-def test_channel_round_trip():
-    channel = pinching(2)
-    back = channel_from_json(json.loads(dumps(channel_to_json(channel))))
-    assert isinstance(back, Channel)
-    assert all(
-        np.array_equal(a, b) for a, b in zip(back.kraus, channel.kraus)
-    )
-
-
-def test_fidelity_record_keys():
-    record = fidelity_to_json(0.5, 0.25, "spectral_general")
+def test_fidelity_record_keys(tmp_path, capsys):
+    for name, diag in (("a", [0.5, 0.5]), ("b", [0.25, 0.75])):
+        state = DensityMatrix(np.diag(diag).astype(complex))
+        (tmp_path / f"{name}.json").write_text(dumps(state_to_json(state)))
+    argv = ["fidelity", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    assert main(argv + ["--t", "0.25", "--no-timestamp"]) == 0
+    record = json.loads(capsys.readouterr().out)
     assert list(record) == ["t", "value", "method"]
+    assert record["t"] == 0.25
+    assert record["method"] == "spectral_general"
 
 
 def test_write_csv_shape_and_digits():

@@ -24,6 +24,7 @@ from specfid import (
     t_sweep,
     trial_rng,
 )
+from specfid.verify import _REGISTRY
 
 REPORT_KEYS = ["property", "verdict", "max_violation", "witness", "seed", "samples"]
 
@@ -98,6 +99,10 @@ def test_run_suite_validation():
         run_suite("no_such_property")
     with pytest.raises(ParamError):
         run_suite("riccati", dims=[1])
+    # a suite that runs no trials has checked nothing
+    for property_id in ("riccati", "zero_condition", "first_fvg"):
+        with pytest.raises(ParamError):
+            run_suite(property_id, n_samples=0)
 
 
 def test_dpi_monotone_verdicts_by_t():
@@ -211,8 +216,6 @@ def test_search_validation():
         search_dpi_violation(1.0)
     with pytest.raises(ParamError):
         search_dpi_violation(0.8, dim=1)
-    with pytest.raises(ParamError):
-        search_dpi_violation(0.8, channel_family="depolarizing")
     # An exhausted budget is not an error, just an empty result.
     assert search_dpi_violation(0.8, n_trials=0) is None
 
@@ -320,3 +323,22 @@ def test_witness_replayability():
 def _state_from_witness(record):
     mat = np.asarray(record["re"], dtype=complex) + 1j * np.asarray(record["im"])
     return DensityMatrix(mat)
+
+
+SAMPLED_SUITES = [pid for pid, spec in _REGISTRY.items() if spec.trial is not None]
+
+
+@pytest.mark.parametrize("property_id", SAMPLED_SUITES)
+def test_witness_replays_from_its_trial(property_id):
+    # Every witness names its trial; trial_rng(seed, trial) regenerates
+    # every input of that trial, so the suite's trial function alone
+    # reproduces the reported violation bit for bit.
+    seed = 11
+    spec = _REGISTRY[property_id]
+    samples = 3 if property_id == "variational_dominance" else 12
+    report = run_suite(property_id, n_samples=samples, rng_seed=seed)
+    trial = report.worst_witness["trial"]
+    dim = spec.dims[trial % len(spec.dims)]
+    candidates = spec.trial(trial_rng(seed, trial), dim, trial, spec.t)
+    recomputed = max(max(c.violation for c in candidates), 0.0)
+    assert recomputed == report.max_violation
