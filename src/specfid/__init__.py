@@ -40,7 +40,6 @@ from .fidelity import (
 from .linalg import (
     as_hermitian,
     block_psd,
-    eig,
     frac_power,
     hermitize,
     is_psd,
@@ -113,7 +112,6 @@ __all__ = [
     "fvg_bounds",
     "as_hermitian",
     "hermitize",
-    "eig",
     "frac_power",
     "block_psd",
     "is_psd",

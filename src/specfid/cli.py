@@ -11,6 +11,7 @@ deviates), 2 on input, validation, or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -408,6 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser tree, built on the first `main` call and reused after.
+
+    Parsing keeps no state on the tree, and building it costs more than
+    a short command does.
+    """
+    return build_parser()
+
+
 _NEGATIVE_VECTOR = re.compile(r"-[0-9.]")
 
 
@@ -428,9 +439,8 @@ def _attach_negative_vectors(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = parser.parse_args(_attach_negative_vectors(argv))
+    ns = _shared_parser().parse_args(_attach_negative_vectors(argv))
     try:
         config = {}
         if getattr(ns, "config", None):

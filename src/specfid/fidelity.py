@@ -16,21 +16,20 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    DomainError,
     NormalizationError,
     ParamError,
     SupportError,
 )
 from .linalg import (
+    _frac_power,
     eig,
-    frac_power,
     hermitize,
     psd_cutoff,
+    require_psd,
     support_cutoff,
-    support_projector,
     trace_norm,
 )
-from .means import geometric_mean, mix_identity, riccati_solution
+from .means import _mean, mix_identity
 from .states import DensityMatrix
 
 
@@ -80,8 +79,7 @@ def _power_traces(rho: np.ndarray, x: np.ndarray, ts) -> list[float]:
             continue
         if lam is None:
             w, v = eig(x)
-            if float(w[0]) < -psd_cutoff(x):
-                raise DomainError(f"matrix is not PSD: min eigenvalue {float(w[0]):.3e}")
+            require_psd(w, x)
             w = np.clip(w, 0.0, None)
             on = w > support_cutoff(w)
             lam, v = w[on], v[:, on]
@@ -118,7 +116,7 @@ def spectral_fidelity_curve(
             raise ParamError(f"regularization eps = {regularization} outside (0, 1)")
         rho_m = mix_identity(rho_m, regularization)
         sigma_m = mix_identity(sigma_m, regularization)
-    return _power_traces(rho_m, riccati_solution(rho_m, sigma_m), ts)
+    return _power_traces(rho_m, _mean(rho_m, sigma_m, riccati=True)[0], ts)
 
 
 def spectral_fidelity(
@@ -133,8 +131,12 @@ def spectral_fidelity(
     Singular states are handled by restricting every inverse and
     fractional power to the relevant support.  With `regularization`
     set to a small eps, both states are first blended with the
-    maximally mixed state instead; the two routes coincide as eps
-    shrinks (exactly so for full-rank inputs).
+    maximally mixed state instead.  In exact arithmetic the blended
+    value tends to the support-route value as eps shrinks, but not in
+    floating point: for rank-deficient states and eps <= 1e-7 the
+    support cutoffs inside the blended computation drop genuine small
+    eigenvalues, and the result can be off by more than 0.1.  The
+    support route is the reference.
 
     t outside [0, 1] is rejected unless `extended` is set; the family
     is well defined (though no longer a fidelity) on the whole line.
@@ -162,16 +164,16 @@ def spectral_fidelity(
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> FidelityValue:
     """Root fidelity Tr sqrt(rho^{1/2} sigma rho^{1/2})."""
     _check_pair(rho, sigma)
-    r_half = frac_power(rho.mat, 0.5, support_only=True)
+    r_half = _frac_power(rho.mat, 0.5, support_only=True)
     inner = hermitize(r_half @ sigma.mat @ r_half)
-    value = float(np.real(np.trace(frac_power(inner, 0.5, support_only=True))))
+    value = float(np.real(np.trace(_frac_power(inner, 0.5, support_only=True))))
     return FidelityValue(value, method="uhlmann")
 
 
 def matsumoto_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> FidelityValue:
     """Trace of the matrix geometric mean of the two states."""
     _check_pair(rho, sigma)
-    value = float(np.real(np.trace(geometric_mean(rho.mat, sigma.mat))))
+    value = float(np.real(np.trace(_mean(rho.mat, sigma.mat, riccati=False)[0])))
     return FidelityValue(value, method="matsumoto")
 
 
@@ -186,16 +188,16 @@ def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> 
     if alpha <= 0 or alpha == 1:
         raise ParamError(f"order alpha = {alpha} must be positive and not 1")
     if alpha > 1:
-        proj = support_projector(sigma.mat)
+        proj = _frac_power(sigma.mat, 0.0, support_only=True)
         leak = float(np.abs(rho.mat - proj @ rho.mat @ proj).max())
         if leak > math.sqrt(psd_cutoff(rho.mat)):
             raise SupportError(
                 f"support containment fails for alpha > 1: leakage {leak:.3e}"
             )
     s = (1.0 - alpha) / (2.0 * alpha)
-    sig_s = frac_power(sigma.mat, s, support_only=True)
+    sig_s = _frac_power(sigma.mat, s, support_only=True)
     inner = hermitize(sig_s @ rho.mat @ sig_s)
-    tr = float(np.real(np.trace(frac_power(inner, alpha, support_only=True))))
+    tr = float(np.real(np.trace(_frac_power(inner, alpha, support_only=True))))
     if tr <= 0.0:
         return math.inf
     return math.log(tr) / (alpha - 1.0)

@@ -3,6 +3,12 @@
 Eigendecomposition, matrix functions via spectral calculus, the trace
 norm, and PSD/support machinery.  All higher modules build on these
 primitives; matrices are plain complex numpy arrays.
+
+Validation happens once, where data enters: the public functions run
+`as_hermitian` on every matrix argument.  The kernels `eig`,
+`spectrum`, `_frac_power` and `_is_psd` trust their input instead: it
+must be a complex, exactly Hermitian array such as `as_hermitian` or
+`hermitize` returns, and nothing about it is checked again.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ def as_hermitian(mat: np.ndarray) -> np.ndarray:
     relative to the matrix scale; the returned array is exactly
     Hermitized.
     """
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.ascontiguousarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat.view(float))):
@@ -66,8 +72,7 @@ def support_cutoff(eigenvalues: np.ndarray) -> float:
 
 
 def eig(mat: np.ndarray) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix; eigenvalues ascend."""
-    mat = as_hermitian(mat)
+    """Eigendecompose a trusted Hermitian matrix; eigenvalues ascend."""
     try:
         w, v = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -75,18 +80,40 @@ def eig(mat: np.ndarray) -> EigenSystem:
     return EigenSystem(w, v)
 
 
+def spectrum(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a trusted Hermitian matrix, no eigenvectors."""
+    try:
+        return np.linalg.eigvalsh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(str(exc)) from exc
+
+
+def require_psd(w: np.ndarray, mat: np.ndarray) -> None:
+    """Raise DomainError when the ascending spectrum w of mat is not PSD."""
+    if float(w[0]) < -psd_cutoff(mat):
+        raise DomainError(f"matrix is not PSD: min eigenvalue {float(w[0]):.3e}")
+
+
 def frac_power(mat: np.ndarray, alpha: float, support_only: bool = False) -> np.ndarray:
     """Fractional power of a PSD matrix.
 
-    alpha = 1 returns the input unchanged; alpha = 0 returns the support
-    projector (or the identity when support_only is false).  Negative
-    eigenvalues below the PSD cutoff raise DomainError.
+    alpha = 1 returns the validated input; alpha = 0 returns the support
+    projector (or the identity when support_only is false).  At every
+    alpha, negative eigenvalues below the PSD cutoff raise DomainError.
     """
+    mat = as_hermitian(mat)
     if alpha == 1:
-        return np.asarray(mat, dtype=complex).copy()
+        require_psd(spectrum(mat), mat)
+        return mat
+    return _frac_power(mat, alpha, support_only)
+
+
+def _frac_power(mat: np.ndarray, alpha: float, support_only: bool = False) -> np.ndarray:
+    """frac_power of a trusted matrix; alpha = 1 copies it unchecked."""
+    if alpha == 1:
+        return mat.copy()
     w, v = eig(mat)
-    if float(w[0]) < -psd_cutoff(mat):
-        raise DomainError(f"matrix is not PSD: min eigenvalue {float(w[0]):.3e}")
+    require_psd(w, mat)
     w = np.clip(w, 0.0, None)
     on = w > support_cutoff(w)
     fw = np.zeros_like(w)
@@ -109,7 +136,7 @@ def frac_power(mat: np.ndarray, alpha: float, support_only: bool = False) -> np.
 
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of the absolute eigenvalues of a Hermitian matrix."""
-    w, _ = eig(mat)
+    w, _ = eig(as_hermitian(mat))
     return float(np.abs(w).sum())
 
 
@@ -120,6 +147,10 @@ def support_projector(mat: np.ndarray) -> np.ndarray:
 
 def is_psd(mat: np.ndarray) -> bool:
     """Whether all eigenvalues sit above minus the PSD cutoff."""
+    return _is_psd(as_hermitian(mat))
+
+
+def _is_psd(mat: np.ndarray) -> bool:
     w, _ = eig(mat)
     return bool(w[0] >= -psd_cutoff(mat))
 
@@ -133,5 +164,6 @@ def block_psd(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> bool:
         raise DimensionMismatch(
             f"off-diagonal block {a12.shape} does not join {a11.shape} and {a22.shape}"
         )
-    block = np.block([[a11, a12], [a12.conj().T, a22]])
-    return is_psd(block)
+    if not np.all(np.isfinite(a12)):
+        raise DomainError("off-diagonal block has non-finite entries")
+    return _is_psd(np.block([[a11, a12], [a12.conj().T, a22]]))

@@ -12,11 +12,12 @@ import numpy as np
 from .config import TOL
 from .errors import DomainError, ParamError
 from .linalg import (
+    _frac_power,
     as_hermitian,
     eig,
-    frac_power,
     hermitize,
     psd_cutoff,
+    require_psd,
     support_cutoff,
 )
 
@@ -24,8 +25,7 @@ from .linalg import (
 def _sqrt_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Support-restricted M^{1/2} and M^{-1/2} from one decomposition."""
     w, v = eig(mat)
-    if float(w[0]) < -psd_cutoff(mat):
-        raise DomainError(f"matrix is not PSD: min eigenvalue {float(w[0]):.3e}")
+    require_psd(w, mat)
     on = w > support_cutoff(w)
     root = np.where(on, np.sqrt(np.clip(w, 0.0, None)), 0.0)
     inv_root = np.zeros_like(w)
@@ -40,11 +40,12 @@ def _mean(a: np.ndarray, b: np.ndarray, riccati: bool) -> tuple[np.ndarray, np.n
 
     The geometric mean is P (Q B Q)^{1/2} P with P = A^{1/2} and
     Q = A^{-1/2}, the Riccati solution the same with the two roots
-    swapped; both roots come from one decomposition of A.
+    swapped; both roots come from one decomposition of A.  A and B must
+    come validated (see linalg): nothing here checks them.
     """
     a_half, a_ihalf = _sqrt_pair(a)
     outer, inner = (a_ihalf, a_half) if riccati else (a_half, a_ihalf)
-    quarter = frac_power(hermitize(inner @ b @ inner), 0.25, support_only=True)
+    quarter = _frac_power(hermitize(inner @ b @ inner), 0.25, support_only=True)
     m = quarter @ outer
     return hermitize(m.conj().T @ m), a_half
 
@@ -57,7 +58,7 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     in Gram form M* M so the output stays PSD to rounding even when A is
     ill conditioned.
     """
-    return _mean(as_hermitian(a), b, riccati=False)[0]
+    return _mean(as_hermitian(a), as_hermitian(b), riccati=False)[0]
 
 
 def riccati_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,15 +69,15 @@ def riccati_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     singular.  Assembled in Gram form M* M so the output stays PSD to
     rounding even when A is ill conditioned.
     """
-    return _mean(as_hermitian(a), b, riccati=True)[0]
+    return _mean(as_hermitian(a), as_hermitian(b), riccati=True)[0]
 
 
 def _spectral_means(a: np.ndarray, b: np.ndarray, ts) -> list[np.ndarray]:
-    """X^t A X^t for every t of a grid from one Riccati solve."""
-    x, a_half = _mean(as_hermitian(a), as_hermitian(b), riccati=True)
+    """X^t A X^t for every t of a grid from one Riccati solve of a trusted pair."""
+    x, a_half = _mean(a, b, riccati=True)
     means = []
     for t in ts:
-        m = a_half @ frac_power(x, float(t), support_only=True)
+        m = a_half @ _frac_power(x, float(t), support_only=True)
         means.append(hermitize(m.conj().T @ m))
     return means
 
@@ -94,7 +95,7 @@ def weighted_spectral_mean(
     """
     if not extended and not 0.0 <= t <= 1.0:
         raise ParamError(f"weight t = {t} outside [0, 1]")
-    (mean,) = _spectral_means(a, b, [t])
+    (mean,) = _spectral_means(as_hermitian(a), as_hermitian(b), [t])
     return mean
 
 
@@ -109,7 +110,7 @@ def variational_objective(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     w, _ = eig(x)
     if float(w[0]) <= psd_cutoff(x):
         raise DomainError("objective needs a strictly positive X")
-    x_inv = frac_power(x, -1.0)
+    x_inv = _frac_power(x, -1.0)
     a = as_hermitian(a)
     b = as_hermitian(b)
     return float(np.real(np.trace(a @ x)) + np.real(np.trace(b @ x_inv)))

@@ -13,7 +13,7 @@ from .errors import (
     ParamError,
     ZeroVector,
 )
-from .linalg import as_hermitian, eig, hermitize, psd_cutoff
+from .linalg import as_hermitian, hermitize, psd_cutoff, spectrum
 
 # Pauli basis used by the qubit parametrization.
 _PAULI = (
@@ -34,7 +34,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         mat = as_hermitian(self.mat)
-        w, _ = eig(mat)
+        w = spectrum(mat)
         cutoff = psd_cutoff(mat)
         if float(w[0]) < -cutoff:
             raise NormalizationError(

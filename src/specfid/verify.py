@@ -950,7 +950,9 @@ def _minimize_coherence(
 
     The line s -> (dephased + s (original - dephased)) stays inside the
     state space, so the smallest violating s measures how close to a
-    commuting pair the witness can be pushed.
+    commuting pair the witness can be pushed.  The dephased end s = 0
+    never violates: pinching is idempotent, so it leaves that pair as
+    it is and the fidelity cannot drop.
     """
     rho0, sigma0 = apply(channel, rho), apply(channel, sigma)
 
@@ -960,11 +962,6 @@ def _minimize_coherence(
             DensityMatrix(sigma0.mat + s * (sigma.mat - sigma0.mat)),
         )
 
-    gap0, _, _ = _violation_gap(rho0, sigma0, t, channel)
-    if gap0 > TOL.dpi_margin:
-        # already violating with zero coherence; nothing to shrink
-        gap, before, after = _violation_gap(rho, sigma, t, channel)
-        return DPIWitness(rho, sigma, t, channel, before, after)
     lo, hi = 0.0, 1.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)

@@ -1,0 +1,151 @@
+"""The validation contract: public entry points check, kernels trust.
+
+Call counts are deterministic, so the tests pin how many validations
+and decompositions one evaluation makes.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+import pytest
+
+import specfid.linalg
+from specfid import (
+    DensityMatrix,
+    DimensionMismatch,
+    DomainError,
+    as_hermitian,
+    block_psd,
+    frac_power,
+    geometric_mean,
+    is_psd,
+    mix_identity,
+    random_density,
+    riccati_solution,
+    spectral_fidelity,
+    support_projector,
+    trace_norm,
+    variational_objective,
+    weighted_spectral_mean,
+)
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call to owner.name.
+
+    specfid modules bind linalg's functions by name at import, so the
+    counter replaces every binding of the original, not only owner's.
+    """
+    original = getattr(owner, name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("specfid") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture()
+def counters(monkeypatch):
+    """Start counting as_hermitian and eigh calls; returns both records."""
+
+    def start() -> tuple[list, list]:
+        validations = _count_calls(monkeypatch, specfid.linalg, "as_hermitian")
+        return validations, _count_calls(monkeypatch, np.linalg, "eigh")
+
+    return start
+
+
+def test_spectral_fidelity_trusts_validated_states(counters):
+    rng = np.random.default_rng(4)
+    rho, sigma = random_density(3, 3, rng), random_density(3, 2, rng)
+    validations, eighs = counters()
+    spectral_fidelity(rho, sigma, 0.3)
+    assert len(validations) == 0
+    assert len(eighs) == 3
+
+
+def test_riccati_solution_validates_each_input_once(counters):
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    b = np.array([[1.0, -0.25j], [0.25j, 3.0]])
+    validations, _ = counters()
+    riccati_solution(a, b)
+    assert len(validations) == 2
+    assert validations[0][0] is a and validations[1][0] is b
+
+
+def test_density_matrix_validates_without_eigenvectors(counters):
+    validations, eighs = counters()
+    DensityMatrix(np.diag([0.25, 0.75]))
+    assert len(validations) == 1
+    assert len(eighs) == 0
+
+
+_EYE = np.eye(2)
+
+# Each entry point with the bad matrix put in one argument position.
+_ENTRY_POINTS = {
+    "as_hermitian": as_hermitian,
+    "DensityMatrix": DensityMatrix,
+    "frac_power_half": lambda m: frac_power(m, 0.5),
+    "frac_power_one": lambda m: frac_power(m, 1),
+    "frac_power_zero": lambda m: frac_power(m, 0.0),
+    "support_projector": support_projector,
+    "trace_norm": trace_norm,
+    "is_psd": is_psd,
+    "block_psd_a11": lambda m: block_psd(m, _EYE, _EYE),
+    "block_psd_a22": lambda m: block_psd(_EYE, _EYE, m),
+    "geometric_mean_a": lambda m: geometric_mean(m, _EYE),
+    "geometric_mean_b": lambda m: geometric_mean(_EYE, m),
+    "riccati_solution_a": lambda m: riccati_solution(m, _EYE),
+    "riccati_solution_b": lambda m: riccati_solution(_EYE, m),
+    "weighted_spectral_mean_a": lambda m: weighted_spectral_mean(m, _EYE, 0.3),
+    "weighted_spectral_mean_b": lambda m: weighted_spectral_mean(_EYE, m, 0.3),
+    "variational_objective_a": lambda m: variational_objective(m, _EYE, _EYE),
+    "variational_objective_b": lambda m: variational_objective(_EYE, m, _EYE),
+    "variational_objective_x": lambda m: variational_objective(_EYE, _EYE, m),
+    "mix_identity": mix_identity,
+}
+
+_BAD_INPUTS = {
+    "non_square": (np.ones((2, 3)), DimensionMismatch),
+    "non_finite": (np.array([[np.nan, 0.0], [0.0, 1.0]]), DomainError),
+    "non_hermitian": (np.array([[1.0, 0.5], [0.0, 1.0]]), DomainError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_INPUTS))
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_public_entry_points_reject_bad_input(entry, kind):
+    mat, error = _BAD_INPUTS[kind]
+    with pytest.raises(error):
+        _ENTRY_POINTS[entry](mat)
+
+
+def test_block_psd_rejects_non_finite_off_diagonal_block():
+    with pytest.raises(DomainError):
+        block_psd(_EYE, np.array([[np.inf, 0.0], [0.0, 0.0]]), _EYE)
+
+
+def test_frac_power_at_one_checks_positivity():
+    with pytest.raises(DomainError):
+        frac_power(np.diag([-1.0, 1.0]), 1)
+    mat = np.array([[1.0, 0.25], [0.25, 1.0]])
+    out = frac_power(mat, 1)
+    assert np.array_equal(out, mat)
+    assert out is not mat
+
+
+def test_transposed_input_is_accepted():
+    # A transpose is a strided view; validation must not depend on layout.
+    mat = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
+    state = DensityMatrix(mat.T)
+    assert np.array_equal(state.mat, mat.T)
+    assert trace_norm(mat.T) == pytest.approx(1.0)

@@ -428,3 +428,31 @@ def test_runconfig_validation():
         RunConfig(command="verify", samples=0)
     with pytest.raises(ParamError):
         RunConfig(command="verify", dims=(1, 2))
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch, diag_pair):
+    import specfid.cli as cli
+
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    a, b = diag_pair
+    first = _run(capsys, ["sweep", a, b, "--t-grid", "0:1:5", "--no-timestamp"])
+    second = _run(capsys, ["sweep", a, b, "--t-grid", "0:1:5", "--no-timestamp"])
+    cli._shared_parser.cache_clear()
+    assert len(built) == 1
+    assert first == second and first[0] == 0
+
+
+def test_repeatable_flags_do_not_carry_over(capsys, diag_pair):
+    a, b = diag_pair
+    code, out, _ = _run(capsys, ["fidelity", a, b, "--all", "--alpha", "3", "--no-timestamp"])
+    assert code == 0 and list(json.loads(out)["renyi"]) == ["3.0"]
+    code, out, _ = _run(capsys, ["fidelity", a, b, "--all", "--no-timestamp"])
+    assert code == 0 and list(json.loads(out)["renyi"]) == ["2.0"]
