@@ -76,7 +76,6 @@ from .states import (
 from .verify import (
     DPIWitness,
     PropertyReport,
-    dpi_analytic_family,
     list_properties,
     replay_reference_counterexample,
     run_suite,
@@ -142,7 +141,6 @@ __all__ = [
     "DPIWitness",
     "run_suite",
     "list_properties",
-    "dpi_analytic_family",
     "replay_reference_counterexample",
     "search_dpi_violation",
     "second_fvg_failure",

@@ -20,15 +20,7 @@ from .errors import (
     ParamError,
     SupportError,
 )
-from .linalg import (
-    _frac_power,
-    eig,
-    hermitize,
-    psd_cutoff,
-    require_psd,
-    support_cutoff,
-    trace_norm,
-)
+from .linalg import hermitize, power, psd_cutoff, psd_eig, trace_norm
 from .means import _mean, mix_identity
 from .states import DensityMatrix
 
@@ -78,10 +70,7 @@ def _power_traces(rho: np.ndarray, x: np.ndarray, ts) -> list[float]:
             values.append(float(np.real(np.trace(rho @ x))))
             continue
         if lam is None:
-            w, v = eig(x)
-            require_psd(w, x)
-            w = np.clip(w, 0.0, None)
-            on = w > support_cutoff(w)
+            w, v, on = psd_eig(x)
             lam, v = w[on], v[:, on]
             weights = (v.conj() * (rho @ v)).real.sum(axis=0)
         values.append(float((weights * lam ** (2 * t)).sum()))
@@ -164,9 +153,9 @@ def spectral_fidelity(
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> FidelityValue:
     """Root fidelity Tr sqrt(rho^{1/2} sigma rho^{1/2})."""
     _check_pair(rho, sigma)
-    r_half = _frac_power(rho.mat, 0.5, support_only=True)
+    r_half = power(*psd_eig(rho.mat), 0.5)
     inner = hermitize(r_half @ sigma.mat @ r_half)
-    value = float(np.real(np.trace(_frac_power(inner, 0.5, support_only=True))))
+    value = float(np.real(np.trace(power(*psd_eig(inner), 0.5))))
     return FidelityValue(value, method="uhlmann")
 
 
@@ -187,17 +176,18 @@ def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> 
     _check_pair(rho, sigma)
     if alpha <= 0 or alpha == 1:
         raise ParamError(f"order alpha = {alpha} must be positive and not 1")
+    sigma_eig = psd_eig(sigma.mat)
     if alpha > 1:
-        proj = _frac_power(sigma.mat, 0.0, support_only=True)
+        proj = power(*sigma_eig, 0.0)
         leak = float(np.abs(rho.mat - proj @ rho.mat @ proj).max())
         if leak > math.sqrt(psd_cutoff(rho.mat)):
             raise SupportError(
                 f"support containment fails for alpha > 1: leakage {leak:.3e}"
             )
     s = (1.0 - alpha) / (2.0 * alpha)
-    sig_s = _frac_power(sigma.mat, s, support_only=True)
+    sig_s = power(*sigma_eig, s)
     inner = hermitize(sig_s @ rho.mat @ sig_s)
-    tr = float(np.real(np.trace(_frac_power(inner, alpha, support_only=True))))
+    tr = float(np.real(np.trace(power(*psd_eig(inner), alpha))))
     if tr <= 0.0:
         return math.inf
     return math.log(tr) / (alpha - 1.0)

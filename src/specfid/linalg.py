@@ -5,27 +5,22 @@ norm, and PSD/support machinery.  All higher modules build on these
 primitives; matrices are plain complex numpy arrays.
 
 Validation happens once, where data enters: the public functions run
-`as_hermitian` on every matrix argument.  The kernels `eig`,
-`spectrum`, `_frac_power` and `_is_psd` trust their input instead: it
-must be a complex, exactly Hermitian array such as `as_hermitian` or
-`hermitize` returns, and nothing about it is checked again.
+`as_hermitian` on every matrix argument.  The kernels below trust their
+input instead: it must be a complex, exactly Hermitian array such as
+`as_hermitian` or `hermitize` returns, and nothing about it is checked
+again.  `eig` is the one eigenvector call and `spectrum` the one
+eigenvalue-only call.  `psd_eig` is the one place where the PSD check,
+the clip at 0 and the support cutoff meet: every matrix function
+decomposes its matrix there once and assembles its powers from that
+system with `power`.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, DomainError, NonConvergence
-
-
-class EigenSystem(NamedTuple):
-    """Eigenvalues in ascending order with matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -41,8 +36,10 @@ def as_hermitian(mat: np.ndarray) -> np.ndarray:
     Hermitized.
     """
     mat = np.ascontiguousarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
+        raise DimensionMismatch(
+            f"expected a non-empty square matrix, got shape {mat.shape}"
+        )
     if not np.all(np.isfinite(mat.view(float))):
         raise DomainError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(mat).max()))
@@ -67,17 +64,15 @@ def support_cutoff(eigenvalues: np.ndarray) -> float:
     matrix that is an exact zero up to rounding resolve to an empty
     support instead of a support made of noise.
     """
-    top = float(eigenvalues[-1]) if len(eigenvalues) else 0.0
-    return TOL.support_rtol * max(top, 1.0)
+    return TOL.support_rtol * max(float(eigenvalues[-1]), 1.0)
 
 
-def eig(mat: np.ndarray) -> EigenSystem:
-    """Eigendecompose a trusted Hermitian matrix; eigenvalues ascend."""
+def eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose a trusted Hermitian matrix into (w, v); w ascends."""
     try:
-        w, v = np.linalg.eigh(mat)
+        return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
-    return EigenSystem(w, v)
 
 
 def spectrum(mat: np.ndarray) -> np.ndarray:
@@ -94,6 +89,38 @@ def require_psd(w: np.ndarray, mat: np.ndarray) -> None:
         raise DomainError(f"matrix is not PSD: min eigenvalue {float(w[0]):.3e}")
 
 
+def psd_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Support-restricted eigensystem (w, v, on) of a trusted PSD matrix.
+
+    Raises DomainError when mat is not PSD, clips the eigenvalues at 0,
+    and marks the support with on = w > support_cutoff(w).
+    """
+    w, v = eig(mat)
+    require_psd(w, mat)
+    w = np.clip(w, 0.0, None)
+    return w, v, w > support_cutoff(w)
+
+
+def power(
+    w: np.ndarray, v: np.ndarray, on: np.ndarray, alpha: float, support_only: bool = True
+) -> np.ndarray:
+    """The power M^alpha assembled from a psd_eig system (w, v, on) of M.
+
+    support_only raises only the support eigenvalues and leaves the rest
+    0, so alpha = 0 gives the support projector; otherwise every
+    eigenvalue is raised, and a negative power of a singular matrix
+    raises DomainError.
+    """
+    if support_only:
+        fw = np.zeros_like(w)
+        fw[on] = w[on] ** alpha
+    elif alpha < 0 and not np.all(on):
+        raise DomainError("negative power of a singular matrix")
+    else:
+        fw = w**alpha
+    return hermitize((v * fw) @ v.conj().T)
+
+
 def frac_power(mat: np.ndarray, alpha: float, support_only: bool = False) -> np.ndarray:
     """Fractional power of a PSD matrix.
 
@@ -105,39 +132,12 @@ def frac_power(mat: np.ndarray, alpha: float, support_only: bool = False) -> np.
     if alpha == 1:
         require_psd(spectrum(mat), mat)
         return mat
-    return _frac_power(mat, alpha, support_only)
-
-
-def _frac_power(mat: np.ndarray, alpha: float, support_only: bool = False) -> np.ndarray:
-    """frac_power of a trusted matrix; alpha = 1 copies it unchecked."""
-    if alpha == 1:
-        return mat.copy()
-    w, v = eig(mat)
-    require_psd(w, mat)
-    w = np.clip(w, 0.0, None)
-    on = w > support_cutoff(w)
-    fw = np.zeros_like(w)
-    if alpha == 0:
-        fw[on] = 1.0
-        if not support_only:
-            fw[~on] = 1.0
-    elif support_only or alpha >= 0:
-        if alpha < 0:
-            fw[on] = w[on] ** alpha
-        else:
-            fw = np.where(on, w, 0.0 if support_only else w) ** alpha
-    else:
-        # Negative power without support restriction needs strict positivity.
-        if not np.all(on):
-            raise DomainError("negative power of a singular matrix")
-        fw = w**alpha
-    return hermitize((v * fw) @ v.conj().T)
+    return power(*psd_eig(mat), alpha, support_only)
 
 
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of the absolute eigenvalues of a Hermitian matrix."""
-    w, _ = eig(as_hermitian(mat))
-    return float(np.abs(w).sum())
+    return float(np.abs(spectrum(as_hermitian(mat))).sum())
 
 
 def support_projector(mat: np.ndarray) -> np.ndarray:
@@ -151,8 +151,7 @@ def is_psd(mat: np.ndarray) -> bool:
 
 
 def _is_psd(mat: np.ndarray) -> bool:
-    w, _ = eig(mat)
-    return bool(w[0] >= -psd_cutoff(mat))
+    return bool(spectrum(mat)[0] >= -psd_cutoff(mat))
 
 
 def block_psd(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> bool:

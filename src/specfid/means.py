@@ -11,28 +11,15 @@ import numpy as np
 
 from .config import TOL
 from .errors import DomainError, ParamError
-from .linalg import (
-    _frac_power,
-    as_hermitian,
-    eig,
-    hermitize,
-    psd_cutoff,
-    require_psd,
-    support_cutoff,
-)
+from .linalg import as_hermitian, hermitize, power, psd_cutoff, psd_eig
 
 
 def _sqrt_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Support-restricted M^{1/2} and M^{-1/2} from one decomposition."""
-    w, v = eig(mat)
-    require_psd(w, mat)
-    on = w > support_cutoff(w)
-    root = np.where(on, np.sqrt(np.clip(w, 0.0, None)), 0.0)
+    w, v, on = psd_eig(mat)
     inv_root = np.zeros_like(w)
-    inv_root[on] = 1.0 / root[on]
-    half = hermitize((v * root) @ v.conj().T)
-    inv_half = hermitize((v * inv_root) @ v.conj().T)
-    return half, inv_half
+    inv_root[on] = 1.0 / np.sqrt(w[on])
+    return power(w, v, on, 0.5), hermitize((v * inv_root) @ v.conj().T)
 
 
 def _mean(a: np.ndarray, b: np.ndarray, riccati: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -45,7 +32,7 @@ def _mean(a: np.ndarray, b: np.ndarray, riccati: bool) -> tuple[np.ndarray, np.n
     """
     a_half, a_ihalf = _sqrt_pair(a)
     outer, inner = (a_ihalf, a_half) if riccati else (a_half, a_ihalf)
-    quarter = _frac_power(hermitize(inner @ b @ inner), 0.25, support_only=True)
+    quarter = power(*psd_eig(hermitize(inner @ b @ inner)), 0.25)
     m = quarter @ outer
     return hermitize(m.conj().T @ m), a_half
 
@@ -73,11 +60,16 @@ def riccati_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _spectral_means(a: np.ndarray, b: np.ndarray, ts) -> list[np.ndarray]:
-    """X^t A X^t for every t of a grid from one Riccati solve of a trusted pair."""
+    """X^t A X^t for every t of a grid of a trusted pair.
+
+    One Riccati solve and one decomposition of X serve the whole grid;
+    X^1 is X itself and needs no decomposition.
+    """
     x, a_half = _mean(a, b, riccati=True)
+    system = psd_eig(x) if any(t != 1 for t in ts) else None
     means = []
     for t in ts:
-        m = a_half @ _frac_power(x, float(t), support_only=True)
+        m = a_half @ (x if t == 1 else power(*system, float(t)))
         means.append(hermitize(m.conj().T @ m))
     return means
 
@@ -107,10 +99,10 @@ def variational_objective(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     spectral mean.
     """
     x = as_hermitian(x)
-    w, _ = eig(x)
+    w, v, on = psd_eig(x)
     if float(w[0]) <= psd_cutoff(x):
         raise DomainError("objective needs a strictly positive X")
-    x_inv = _frac_power(x, -1.0)
+    x_inv = power(w, v, on, -1.0, support_only=False)
     a = as_hermitian(a)
     b = as_hermitian(b)
     return float(np.real(np.trace(a @ x)) + np.real(np.trace(b @ x_inv)))

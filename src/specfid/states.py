@@ -27,7 +27,13 @@ _TRACE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix with its numerical rank."""
+    """Hermitian, PSD, unit-trace matrix with its numerical rank.
+
+    rank counts the eigenvalues above psd_cutoff, a coarser threshold
+    than the support_cutoff that the matrix functions apply, so an
+    eigenvalue between the two lies outside the rank but inside the
+    support those functions use.
+    """
 
     mat: np.ndarray
     rank: int = field(init=False)

@@ -595,10 +595,8 @@ def _renyi_midpoint_notes(t, peaks) -> tuple[str, ...]:
 
 def _dpi_trial(rng, dim, trial, t) -> list[Candidate]:
     rho, sigma = _dpi_trial_pair(dim, t, trial % 3, rng)
-    channel = pinching(dim)
-    before = spectral_fidelity(rho, sigma, t).value
-    after = spectral_fidelity(apply(channel, rho), apply(channel, sigma), t).value
-    return [Candidate(before - after, {"t": t, "rho": rho, "sigma": sigma})]
+    gap, _, _ = _violation_gap(rho, sigma, t, pinching(dim))
+    return [Candidate(gap, {"t": t, "rho": rho, "sigma": sigma})]
 
 
 def _dpi_midpoint_trial(rng, dim, trial, t) -> list[Candidate]:
@@ -859,42 +857,6 @@ def run_suite(
 # directed constructions
 
 
-class AnalyticFamilyResult(NamedTuple):
-    lhs: float
-    rhs: float
-    violated: bool
-    f_before: float
-    f_after: float
-
-
-def dpi_analytic_family(t: float, p: float) -> AnalyticFamilyResult:
-    """Scalar data-processing comparison for the coherent/classical pair.
-
-    For the equal-weight superposition against the (p, 1-p) pure state,
-    dephasing maps the fidelity from lhs = (1/2 + sqrt(p(1-p)))^t down
-    to rhs = 2^(t-1) (p^t + (1-p)^t); lhs > rhs for every t below the
-    midpoint, witnessing the failure of monotonicity.  The matrix pair
-    is rebuilt and cross-checked against the scalar forms.
-    """
-    if not 0.0 < t < 0.5:
-        raise ParamError(f"parameter t = {t} outside (0, 0.5)")
-    if not 0.0 < p < 1.0:
-        raise ParamError(f"weight p = {p} outside (0, 1)")
-    lhs = (0.5 + math.sqrt(p * (1.0 - p))) ** t
-    rhs = 2.0 ** (t - 1.0) * (p**t + (1.0 - p) ** t)
-    rho = from_bloch((1.0, 0.0, 0.0))
-    sigma = pure_state((math.sqrt(p), math.sqrt(1.0 - p)))
-    channel = pinching(2)
-    f_before = spectral_fidelity(rho, sigma, t).value
-    f_after = spectral_fidelity(apply(channel, rho), apply(channel, sigma), t).value
-    if abs(f_before - lhs) > 1e-9 or abs(f_after - rhs) > 1e-9:
-        raise ToleranceError(
-            f"matrix path deviates from the scalar forms: "
-            f"{f_before!r} vs {lhs!r}, {f_after!r} vs {rhs!r}"
-        )
-    return AnalyticFamilyResult(lhs, rhs, lhs > rhs, f_before, f_after)
-
-
 # Qubit pair quoted to six decimals; dephasing strictly lowers the
 # t = 0.8 fidelity on it, providing a fixed regression anchor.
 _REFERENCE_RHO = np.array(
@@ -924,10 +886,7 @@ def replay_reference_counterexample() -> DPIWitness:
     rho = DensityMatrix(_REFERENCE_RHO)
     sigma = DensityMatrix(_REFERENCE_SIGMA)
     channel = pinching(2)
-    f_before = spectral_fidelity(rho, sigma, _REFERENCE_T).value
-    f_after = spectral_fidelity(
-        apply(channel, rho), apply(channel, sigma), _REFERENCE_T
-    ).value
+    _, f_before, f_after = _violation_gap(rho, sigma, _REFERENCE_T, channel)
     if abs(f_before - _REFERENCE_BEFORE) > 1e-3 or abs(f_after - _REFERENCE_AFTER) > 1e-3:
         raise ToleranceError(
             f"reference values not reproduced: {f_before!r}, {f_after!r}"

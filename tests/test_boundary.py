@@ -24,7 +24,10 @@ from specfid import (
     mix_identity,
     random_density,
     riccati_solution,
+    run_suite,
+    sandwiched_renyi,
     spectral_fidelity,
+    spectral_fidelity_curve,
     support_projector,
     trace_norm,
     variational_objective,
@@ -70,6 +73,54 @@ def test_spectral_fidelity_trusts_validated_states(counters):
     spectral_fidelity(rho, sigma, 0.3)
     assert len(validations) == 0
     assert len(eighs) == 3
+
+
+_RNG = np.random.default_rng(11)
+_RHO, _SIGMA = random_density(3, 3, _RNG), random_density(3, 3, _RNG)
+
+# Each matrix an evaluation touches is decomposed once.
+_EIGH_PER_CALL = {
+    "mean_flip_identity_one_trial": (
+        lambda: run_suite("mean_flip_identity", n_samples=1), 6),
+    "variational_objective": (
+        lambda: variational_objective(_RHO.mat, _SIGMA.mat, _RHO.mat), 1),
+    "sandwiched_renyi_alpha_2": (lambda: sandwiched_renyi(_RHO, _SIGMA, 2.0), 2),
+    "spectral_fidelity": (lambda: spectral_fidelity(_RHO, _SIGMA, 0.3), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EIGH_PER_CALL))
+def test_eigh_calls_per_evaluation(counters, name):
+    evaluate, expected = _EIGH_PER_CALL[name]
+    _, eighs = counters()
+    evaluate()
+    assert len(eighs) == expected
+
+
+# Entry points whose every decomposition needs a support decision.
+_SUPPORT_USERS = {
+    "riccati_solution": lambda: riccati_solution(_RHO.mat, _SIGMA.mat),
+    "spectral_fidelity_curve": lambda: spectral_fidelity_curve(_RHO, _SIGMA, [0.3]),
+    "frac_power_support_only": lambda: frac_power(_RHO.mat, 0.5, support_only=True),
+    "sandwiched_renyi": lambda: sandwiched_renyi(_RHO, _SIGMA, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUPPORT_USERS))
+def test_supports_are_decided_in_linalg(counters, monkeypatch, name):
+    # Patching the one linalg binding must reach every decomposition.
+    _, eighs = counters()
+    original = specfid.linalg.support_cutoff
+    cutoffs: list = []
+
+    def recorded(w):
+        cutoffs.append(w)
+        return original(w)
+
+    monkeypatch.setattr(specfid.linalg, "support_cutoff", recorded)
+    _SUPPORT_USERS[name]()
+    assert len(eighs) > 0
+    assert len(cutoffs) == len(eighs)
 
 
 def test_riccati_solution_validates_each_input_once(counters):
@@ -118,6 +169,7 @@ _BAD_INPUTS = {
     "non_square": (np.ones((2, 3)), DimensionMismatch),
     "non_finite": (np.array([[np.nan, 0.0], [0.0, 1.0]]), DomainError),
     "non_hermitian": (np.array([[1.0, 0.5], [0.0, 1.0]]), DomainError),
+    "empty": (np.zeros((0, 0)), DimensionMismatch),
 }
 
 

@@ -12,8 +12,10 @@ from specfid import (
     ParamError,
     ToleranceError,
     UnknownProperty,
-    dpi_analytic_family,
+    apply,
+    from_bloch,
     list_properties,
+    pinching,
     pure_state,
     random_density,
     replay_reference_counterexample,
@@ -145,38 +147,37 @@ def test_separate_concavity_holds_at_midpoint_only():
     assert off_hi.max_violation == pytest.approx(off.max_violation, rel=1e-9)
 
 
+def _coherent_classical(t: float, p: float) -> tuple[float, float]:
+    """F_t of the equal-weight superposition against the (p, 1-p) pure
+    state, before and after dephasing."""
+    rho = from_bloch((1.0, 0.0, 0.0))
+    sigma = pure_state((math.sqrt(p), math.sqrt(1.0 - p)))
+    channel = pinching(2)
+    before = spectral_fidelity(rho, sigma, t).value
+    after = spectral_fidelity(apply(channel, rho), apply(channel, sigma), t).value
+    return before, after
+
+
 def test_dpi_analytic_family_oracle():
-    result = dpi_analytic_family(0.25, 0.01)
-    assert result.lhs == pytest.approx(0.879927861868329, abs=1e-12)
-    assert result.rhs == pytest.approx(0.7811415961109461, abs=1e-12)
-    assert result.violated
-    assert result.f_before == pytest.approx(result.lhs, abs=1e-9)
-    assert result.f_after == pytest.approx(result.rhs, abs=1e-9)
-    # Independent scalar evaluation of the closed forms.
-    assert result.lhs == pytest.approx((0.5 + math.sqrt(0.01 * 0.99)) ** 0.25)
-    assert result.rhs == pytest.approx(2.0**-0.75 * (0.01**0.25 + 0.99**0.25))
+    # The paper's closed forms: (1/2 + sqrt(p(1-p)))^t before dephasing,
+    # 2^(t-1) (p^t + (1-p)^t) after; dephasing raises F_t below t = 1/2.
+    before, after = _coherent_classical(0.25, 0.01)
+    assert before == pytest.approx(0.879927861868329, abs=1e-9)
+    assert after == pytest.approx(0.7811415961109461, abs=1e-9)
+    assert before == pytest.approx((0.5 + math.sqrt(0.01 * 0.99)) ** 0.25, abs=1e-9)
+    assert after == pytest.approx(2.0**-0.75 * (0.01**0.25 + 0.99**0.25), abs=1e-9)
+    assert before > after
 
 
 def test_dpi_analytic_family_limits_and_balance():
-    # p -> 0: lhs -> 2^{-t} and rhs -> 2^{t-1}, separated for t < 1/2.
-    result = dpi_analytic_family(0.25, 1e-12)
-    assert result.lhs == pytest.approx(2.0**-0.25, abs=1e-5)
-    assert result.rhs == pytest.approx(2.0**-0.75, abs=1e-3)
+    # p -> 0: before -> 2^{-t} and after -> 2^{t-1}, separated for t < 1/2.
+    before, after = _coherent_classical(0.25, 1e-12)
+    assert before == pytest.approx(2.0**-0.25, abs=1e-5)
+    assert after == pytest.approx(2.0**-0.75, abs=1e-3)
     # p = 1/2 makes the two states equal: both sides 1, no violation.
-    balanced = dpi_analytic_family(0.3, 0.5)
-    assert balanced.lhs == pytest.approx(1.0, abs=1e-12)
-    assert not balanced.violated
-
-
-def test_dpi_analytic_family_validation():
-    with pytest.raises(ParamError):
-        dpi_analytic_family(0.5, 0.1)
-    with pytest.raises(ParamError):
-        dpi_analytic_family(0.0, 0.1)
-    with pytest.raises(ParamError):
-        dpi_analytic_family(0.25, 0.0)
-    with pytest.raises(ParamError):
-        dpi_analytic_family(0.25, 1.0)
+    before, after = _coherent_classical(0.3, 0.5)
+    assert before == pytest.approx(1.0, abs=1e-9)
+    assert after == pytest.approx(1.0, abs=1e-9)
 
 
 def test_replay_reference_counterexample():
