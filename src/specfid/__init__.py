@@ -48,7 +48,6 @@ from .linalg import (
 )
 from .means import (
     geometric_mean,
-    mix_identity,
     riccati_solution,
     variational_objective,
     weighted_spectral_mean,
@@ -120,7 +119,6 @@ __all__ = [
     "riccati_solution",
     "weighted_spectral_mean",
     "variational_objective",
-    "mix_identity",
     "DensityMatrix",
     "Channel",
     "from_bloch",

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .config import TOL
 from .errors import ParamError, SpecfidError, ToleranceError
 from .fidelity import (
@@ -181,11 +183,16 @@ def _load_states(ns: argparse.Namespace) -> tuple[DensityMatrix, DensityMatrix]:
 
 def _cmd_fidelity(ns: argparse.Namespace, cfg: RunConfig) -> int:
     rho, sigma = _load_states(ns)
-    t = 0.5 if cfg.t is None else cfg.t
+    t = 0.5 if cfg.t is None else float(cfg.t)
     result = spectral_fidelity(rho, sigma, t)
     record = {"t": result.t, "value": result.value, "method": result.method}
-    if result.cross_checks:
-        record["cross_checks"] = {name: value for name, value in result.cross_checks}
+    # A rank-one state has a closed form, printed beside the general value.
+    if rho.rank == 1:
+        p = float(np.real(np.trace(rho.mat @ sigma.mat)))
+        record["cross_checks"] = {"pure_rho_closed_form": max(p, 0.0) ** t}
+    elif sigma.rank == 1:
+        q = float(np.real(np.trace(sigma.mat @ rho.mat)))
+        record["cross_checks"] = {"pure_sigma_closed_form": max(q, 0.0) ** (1.0 - t)}
     if ns.all:
         record["uhlmann"] = uhlmann_fidelity(rho, sigma).value
         record["matsumoto"] = matsumoto_fidelity(rho, sigma).value

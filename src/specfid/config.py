@@ -21,8 +21,6 @@ class Tolerances:
     psd_tol: float = 1e-10
     # A data-processing violation must exceed this margin to count.
     dpi_margin: float = 1e-7
-    # Default mixing weight for the identity-regularization path.
-    eps_default: float = 1e-8
     # Support detection inside spectral calculus, relative to the largest
     # eigenvalue.  Sits just above eigensolver noise on exact zeros so
     # that genuinely tiny positive eigenvalues are kept, not truncated.

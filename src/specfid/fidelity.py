@@ -21,23 +21,17 @@ from .errors import (
     SupportError,
 )
 from .linalg import hermitize, power, psd_cutoff, psd_eig, trace_norm
-from .means import _mean, mix_identity
+from .means import _mean
 from .states import DensityMatrix
 
 
 @dataclass(frozen=True)
 class FidelityValue:
-    """One fidelity evaluation: value, parameter, and producing method.
-
-    cross_checks records closed-form values detected for the same
-    inputs as (method, value) pairs; the general-path value is always
-    the one reported in `value`.
-    """
+    """One fidelity evaluation: value, parameter, and producing method."""
 
     value: float
     t: float | None = None
     method: str = "spectral_general"
-    cross_checks: tuple[tuple[str, float], ...] = ()
 
 
 class FvgBounds(NamedTuple):
@@ -78,11 +72,7 @@ def _power_traces(rho: np.ndarray, x: np.ndarray, ts) -> list[float]:
 
 
 def spectral_fidelity_curve(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    ts,
-    extended: bool = False,
-    regularization: float | None = None,
+    rho: DensityMatrix, sigma: DensityMatrix, ts, extended: bool = False
 ) -> list[float]:
     """F_t(rho, sigma) at every t of a grid from one Riccati solve.
 
@@ -90,8 +80,8 @@ def spectral_fidelity_curve(
     F_t = sum_k w_k lam_k^(2t), w_k = <v_k|rho|v_k> >= 0, summed over the
     support of X; a grid of any length therefore costs one Riccati
     solution and one eigendecomposition, and t = 1/2 is read off as
-    Tr[rho X] without one.  Parameters and regularization follow
-    spectral_fidelity, which is this curve at a single point.
+    Tr[rho X] without one.  Parameters follow spectral_fidelity, which
+    is this curve at a single point.
     """
     _check_pair(rho, sigma)
     ts = [float(t) for t in ts]
@@ -99,55 +89,22 @@ def spectral_fidelity_curve(
         for t in ts:
             if not 0.0 <= t <= 1.0:
                 raise ParamError(f"parameter t = {t} outside [0, 1]")
-    rho_m, sigma_m = rho.mat, sigma.mat
-    if regularization is not None:
-        if not 0.0 < regularization < 1.0:
-            raise ParamError(f"regularization eps = {regularization} outside (0, 1)")
-        rho_m = mix_identity(rho_m, regularization)
-        sigma_m = mix_identity(sigma_m, regularization)
-    return _power_traces(rho_m, _mean(rho_m, sigma_m, riccati=True)[0], ts)
+    return _power_traces(rho.mat, _mean(rho.mat, sigma.mat, riccati=True)[0], ts)
 
 
 def spectral_fidelity(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    t: float,
-    extended: bool = False,
-    regularization: float | None = None,
+    rho: DensityMatrix, sigma: DensityMatrix, t: float, extended: bool = False
 ) -> FidelityValue:
     """Weighted spectral fidelity Tr[rho (rho^{-1} # sigma)^{2t}].
 
     Singular states are handled by restricting every inverse and
-    fractional power to the relevant support.  With `regularization`
-    set to a small eps, both states are first blended with the
-    maximally mixed state instead.  In exact arithmetic the blended
-    value tends to the support-route value as eps shrinks, but not in
-    floating point: for rank-deficient states and eps <= 1e-7 the
-    support cutoffs inside the blended computation drop genuine small
-    eigenvalues, and the result can be off by more than 0.1.  The
-    support route is the reference.
-
-    t outside [0, 1] is rejected unless `extended` is set; the family
-    is well defined (though no longer a fidelity) on the whole line.
-
-    When one input is detected rank-one, the matching closed form
-    (overlap^t for rank-one rho, overlap^{1-t} for rank-one sigma) is
-    recorded in cross_checks for auditing.  The value equals the
-    matching point of spectral_fidelity_curve bit for bit.
+    fractional power to the relevant support.  t outside [0, 1] is
+    rejected unless `extended` is set; the family is well defined
+    (though no longer a fidelity) on the whole line.  The value equals
+    the matching point of spectral_fidelity_curve bit for bit.
     """
-    (value,) = spectral_fidelity_curve(rho, sigma, [t], extended, regularization)
-    t = float(t)
-    if regularization is not None:
-        return FidelityValue(value, t=t, method="spectral_regularized")
-
-    checks: list[tuple[str, float]] = []
-    if rho.rank == 1:
-        p = float(np.real(np.trace(rho.mat @ sigma.mat)))
-        checks.append(("pure_rho_closed_form", max(p, 0.0) ** t))
-    elif sigma.rank == 1:
-        q = float(np.real(np.trace(sigma.mat @ rho.mat)))
-        checks.append(("pure_sigma_closed_form", max(q, 0.0) ** (1.0 - t)))
-    return FidelityValue(value, t=t, cross_checks=tuple(checks))
+    (value,) = spectral_fidelity_curve(rho, sigma, [t], extended)
+    return FidelityValue(value, t=float(t))
 
 
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> FidelityValue:

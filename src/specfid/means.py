@@ -1,16 +1,14 @@
 """Geometric, spectral, and weighted spectral means of positive matrices.
 
 Singular inputs are handled through support-restricted fractional powers
-throughout.  An identity-mixing helper provides the alternative
-regularization route used by limiting arguments.
+throughout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import TOL
-from .errors import DomainError, ParamError
+from .errors import DimensionMismatch, DomainError, ParamError
 from .linalg import as_hermitian, hermitize, power, psd_cutoff, psd_eig
 
 
@@ -20,6 +18,14 @@ def _sqrt_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inv_root = np.zeros_like(w)
     inv_root[on] = 1.0 / np.sqrt(w[on])
     return power(w, v, on, 0.5), hermitize((v * inv_root) @ v.conj().T)
+
+
+def _validated(*mats) -> list[np.ndarray]:
+    """Validate every matrix argument and check that their shapes agree."""
+    mats = [as_hermitian(m) for m in mats]
+    if len({m.shape for m in mats}) > 1:
+        raise DimensionMismatch(f"matrix shapes differ: {[m.shape for m in mats]}")
+    return mats
 
 
 def _mean(a: np.ndarray, b: np.ndarray, riccati: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -45,7 +51,7 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     in Gram form M* M so the output stays PSD to rounding even when A is
     ill conditioned.
     """
-    return _mean(as_hermitian(a), as_hermitian(b), riccati=False)[0]
+    return _mean(*_validated(a, b), riccati=False)[0]
 
 
 def riccati_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -56,7 +62,7 @@ def riccati_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     singular.  Assembled in Gram form M* M so the output stays PSD to
     rounding even when A is ill conditioned.
     """
-    return _mean(as_hermitian(a), as_hermitian(b), riccati=True)[0]
+    return _mean(*_validated(a, b), riccati=True)[0]
 
 
 def _spectral_means(a: np.ndarray, b: np.ndarray, ts) -> list[np.ndarray]:
@@ -87,7 +93,7 @@ def weighted_spectral_mean(
     """
     if not extended and not 0.0 <= t <= 1.0:
         raise ParamError(f"weight t = {t} outside [0, 1]")
-    (mean,) = _spectral_means(as_hermitian(a), as_hermitian(b), [t])
+    (mean,) = _spectral_means(*_validated(a, b), [t])
     return mean
 
 
@@ -98,22 +104,10 @@ def variational_objective(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     solution of the pair, with minimum value twice the trace of the
     spectral mean.
     """
-    x = as_hermitian(x)
+    a, b, x = _validated(a, b, x)
     w, v, on = psd_eig(x)
     if float(w[0]) <= psd_cutoff(x):
         raise DomainError("objective needs a strictly positive X")
     x_inv = power(w, v, on, -1.0, support_only=False)
-    a = as_hermitian(a)
-    b = as_hermitian(b)
     return float(np.real(np.trace(a @ x)) + np.real(np.trace(b @ x_inv)))
 
-
-def mix_identity(mat: np.ndarray, eps: float | None = None) -> np.ndarray:
-    """Blend (1 - eps) M + eps I/d, the standard full-rank regularization."""
-    if eps is None:
-        eps = TOL.eps_default
-    if not 0.0 <= eps < 1.0:
-        raise ParamError(f"mixing weight eps = {eps} outside [0, 1)")
-    mat = as_hermitian(mat)
-    d = mat.shape[0]
-    return hermitize((1.0 - eps) * mat + eps * np.eye(d) / d)

@@ -512,7 +512,8 @@ def _closed_form_pure_rho_trial(rng, dim, trial, t) -> list[Candidate]:
     sigma = random_density(dim, dim, rng)
     tg = T_GRID_11[trial % len(T_GRID_11)]
     result = spectral_fidelity(rho, sigma, tg)
-    closed = dict(result.cross_checks)["pure_rho_closed_form"]
+    p = float(np.real(np.trace(rho.mat @ sigma.mat)))
+    closed = max(p, 0.0) ** tg
     return [Candidate(abs(result.value - closed), {"t": tg, "rho": rho, "sigma": sigma})]
 
 
@@ -521,7 +522,8 @@ def _closed_form_pure_sigma_trial(rng, dim, trial, t) -> list[Candidate]:
     sigma = random_density(dim, 1, rng)
     tg = T_GRID_11[trial % len(T_GRID_11)]
     result = spectral_fidelity(rho, sigma, tg)
-    closed = dict(result.cross_checks)["pure_sigma_closed_form"]
+    q = float(np.real(np.trace(sigma.mat @ rho.mat)))
+    closed = max(q, 0.0) ** (1.0 - tg)
     return [Candidate(abs(result.value - closed), {"t": tg, "rho": rho, "sigma": sigma})]
 
 

@@ -21,7 +21,6 @@ from specfid import (
     frac_power,
     geometric_mean,
     is_psd,
-    mix_identity,
     random_density,
     riccati_solution,
     run_suite,
@@ -162,7 +161,6 @@ _ENTRY_POINTS = {
     "variational_objective_a": lambda m: variational_objective(m, _EYE, _EYE),
     "variational_objective_b": lambda m: variational_objective(_EYE, m, _EYE),
     "variational_objective_x": lambda m: variational_objective(_EYE, _EYE, m),
-    "mix_identity": mix_identity,
 }
 
 _BAD_INPUTS = {
@@ -179,6 +177,19 @@ def test_public_entry_points_reject_bad_input(entry, kind):
     mat, error = _BAD_INPUTS[kind]
     with pytest.raises(error):
         _ENTRY_POINTS[entry](mat)
+
+
+# Each matrix argument of a multi-matrix entry point, in turn the odd one out.
+_MULTI_MATRIX = sorted(
+    name for name in _ENTRY_POINTS
+    if name.startswith(("geometric_mean", "riccati", "weighted", "variational"))
+)
+
+
+@pytest.mark.parametrize("entry", _MULTI_MATRIX)
+def test_mismatched_shapes_raise_dimension_mismatch(entry):
+    with pytest.raises(DimensionMismatch):
+        _ENTRY_POINTS[entry](np.eye(3))
 
 
 def test_block_psd_rejects_non_finite_off_diagonal_block():

@@ -63,19 +63,26 @@ def test_no_timestamp_flag(capsys, diag_pair):
 
 
 def test_fidelity_bloch_inputs(capsys):
-    code, out, _ = _run(
-        capsys,
-        ["fidelity", "--bloch", "0,0,1", "--bloch", "1,0,0",
-         "--t", "0.3", "--no-timestamp"],
-    )
-    assert code == 0
-    record = json.loads(out)
-    # Orthogonal axes give pure states with squared overlap 1/2,
-    # and a pure pair evaluates to that overlap raised to t.
-    assert record["value"] == pytest.approx(0.5**0.3, abs=1e-12)
-    assert record["cross_checks"]["pure_rho_closed_form"] == pytest.approx(
-        0.5**0.3, abs=1e-12
-    )
+    cases = [
+        # Orthogonal axes give pure states with squared overlap 1/2,
+        # and a pure pair evaluates to that overlap raised to t.
+        ("0,0,1", "1,0,0", "pure_rho_closed_form", 0.5**0.3),
+        # A mixed rho against the pure z-axis sigma has overlap
+        # (1 + 0.2)/2, raised to 1 - t.
+        ("0.3,0.1,0.2", "0,0,1", "pure_sigma_closed_form", 0.6**0.7),
+    ]
+    for rho, sigma, closed_form, expected in cases:
+        code, out, _ = _run(
+            capsys,
+            ["fidelity", "--bloch", rho, "--bloch", sigma,
+             "--t", "0.3", "--no-timestamp"],
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["value"] == pytest.approx(expected, abs=1e-12)
+        assert record["cross_checks"] == {
+            closed_form: pytest.approx(expected, abs=1e-12)
+        }
 
 
 def test_fidelity_bloch_negative_component(capsys):
@@ -270,8 +277,8 @@ def test_tolerance_override(capsys, diag_pair):
     assert code == 0
     # the override lasts for its own run only
     assert TOL.psd_tol == before
-    # recon_tol was once a tolerance that nothing read
-    for name in ("bogus", "recon_tol"):
+    # recon_tol and eps_default were tolerances once; both are unknown now
+    for name in ("bogus", "recon_tol", "eps_default"):
         code, _, err = _run(capsys, ["fidelity", a, b, "--tol-override", f"{name}=1"])
         assert code == 2
         assert name in err

@@ -87,9 +87,6 @@ def test_pure_rho_closed_form_and_cross_check():
     p = float(np.real(sigma.mat[0, 0]))
     result = spectral_fidelity(rho, sigma, 0.3)
     assert result.value == pytest.approx(p**0.3, abs=1e-12)
-    assert dict(result.cross_checks)["pure_rho_closed_form"] == pytest.approx(
-        p**0.3, abs=1e-15
-    )
 
 
 def test_pure_sigma_closed_form():
@@ -99,9 +96,6 @@ def test_pure_sigma_closed_form():
     q = float(np.real(rho.mat[1, 1]))
     result = spectral_fidelity(rho, sigma, 0.3)
     assert result.value == pytest.approx(q**0.7, abs=1e-12)
-    assert dict(result.cross_checks)["pure_sigma_closed_form"] == pytest.approx(
-        q**0.7, abs=1e-15
-    )
 
 
 def test_reference_pair_values():
@@ -230,24 +224,6 @@ def _expected_extended(rho, sigma, t):
     return float(sum(pi ** (1 - t) * qi**t for pi, qi in zip(p, q)))
 
 
-def test_regularized_route_agrees():
-    rng = trial_rng(25, 0)
-    rho = random_density(3, 3, rng)
-    sigma = random_density(3, 3, rng)
-    plain = spectral_fidelity(rho, sigma, 0.3).value
-    eps_path = spectral_fidelity(rho, sigma, 0.3, regularization=1e-8)
-    assert eps_path.method == "spectral_regularized"
-    assert eps_path.value == pytest.approx(plain, abs=1e-5)
-    # Rank-deficient inputs converge more slowly in the mixing weight.
-    rho_s = random_density(3, 2, trial_rng(25, 1))
-    sigma_s = random_density(3, 2, trial_rng(25, 2))
-    plain_s = spectral_fidelity(rho_s, sigma_s, 0.5).value
-    eps_s = spectral_fidelity(rho_s, sigma_s, 0.5, regularization=1e-8).value
-    assert eps_s == pytest.approx(plain_s, abs=5e-4)
-    with pytest.raises(ParamError):
-        spectral_fidelity(rho, sigma, 0.3, regularization=1.0)
-
-
 def test_endpoints_full_rank():
     rng = trial_rng(26, 0)
     rho = random_density(4, 4, rng)
@@ -329,10 +305,6 @@ def test_single_point_equals_curve_point_exactly():
         for i, t in enumerate(grid):
             assert spectral_fidelity(rho, sigma, t).value == curve[i]
             assert reversed_curve[-1 - i] == curve[i]
-        regularized = spectral_fidelity_curve(rho, sigma, grid, regularization=1e-6)
-        for i, t in enumerate(grid):
-            single = spectral_fidelity(rho, sigma, t, regularization=1e-6)
-            assert single.value == regularized[i]
 
 
 def test_curve_midpoint_is_the_uhlmann_trace():
@@ -349,8 +321,6 @@ def test_curve_validation():
     sigma = DensityMatrix(np.diag([0.6, 0.4]))
     with pytest.raises(ParamError):
         spectral_fidelity_curve(rho, sigma, [0.0, 1.2])
-    with pytest.raises(ParamError):
-        spectral_fidelity_curve(rho, sigma, [0.3], regularization=0.0)
     with pytest.raises(DimensionMismatch):
         spectral_fidelity_curve(rho, DensityMatrix(np.eye(3) / 3), [0.3])
     assert spectral_fidelity_curve(rho, sigma, []) == []

@@ -11,7 +11,6 @@ from specfid import (
     frac_power,
     geometric_mean,
     hermitize,
-    mix_identity,
     riccati_solution,
     variational_objective,
     weighted_spectral_mean,
@@ -178,14 +177,3 @@ def test_variational_objective_needs_positive_x():
     a, b = _random_pd(2, rng), _random_pd(2, rng)
     with pytest.raises(DomainError):
         variational_objective(a, b, np.diag([1.0, 0.0]))
-
-
-def test_mix_identity():
-    rho = np.diag([1.0, 0.0])
-    mixed = mix_identity(rho, 0.5)
-    assert np.allclose(np.diag(mixed), [0.75, 0.25])
-    assert float(np.real(np.trace(mixed))) == pytest.approx(1.0)
-    with pytest.raises(ParamError):
-        mix_identity(rho, 1.0)
-    with pytest.raises(ParamError):
-        mix_identity(rho, -0.1)

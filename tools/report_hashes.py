@@ -23,6 +23,7 @@ import itertools
 import numpy as np
 
 from specfid import (
+    FidelityValue,
     frac_power,
     geometric_mean,
     list_properties,
@@ -59,6 +60,8 @@ CLI_RUNS = [
     _DPI + ["--t", "0.8", "--dims", "3"],
     _DPI + ["--t", "0.5", "--samples", "2000"],
     ["fidelity", "--no-timestamp", *_PAIR, "--all", "--alpha", "2", "--alpha", "0.5"],
+    ["fidelity", "--no-timestamp", "--bloch", "0,0,1", "--bloch", "0.3,0.1,0.2"],
+    ["fidelity", "--no-timestamp", "--bloch", "0.3,0.1,0.2", "--bloch", "0,0,1"],
     ["fvg", "--no-timestamp", "--c", "0.5", "--t", "0.25"],
     ["sweep", "--no-timestamp", *_PAIR, "--t-grid", "0:1:201"],
     ["sweep", "--no-timestamp", "--bloch", "0,0,1", "--bloch", "1,0,0",
@@ -85,6 +88,9 @@ def _outcome(fn) -> str:
         return f"{type(exc).__name__}: {exc}"
     if isinstance(value, np.ndarray):
         return value.tobytes().hex()
+    if isinstance(value, FidelityValue):
+        # The result, not the dataclass repr, which names every declared field.
+        return repr((value.value, value.t, value.method))
     return repr(value)
 
 
@@ -127,7 +133,6 @@ def function_sweep() -> bytes:
             calls = [
                 lambda: spectral_fidelity_curve(rho, sigma, [-0.5, 0, 0.3, 0.5, 1, 1.5],
                                                 extended=True),
-                lambda: spectral_fidelity_curve(rho, sigma, [0.3, 0.7], regularization=1e-6),
                 lambda: uhlmann_fidelity(rho, sigma),
                 lambda: matsumoto_fidelity(rho, sigma),
                 lambda: sandwiched_renyi(rho, sigma, 0.5),
