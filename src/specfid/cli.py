@@ -210,6 +210,8 @@ def _parse_grid(spec: str) -> list[float]:
         raise ParamError(f"grid must be start:stop:steps, got {spec!r}")
     start, stop = float(parts[0]), float(parts[1])
     steps = int(parts[2])
+    if not np.isfinite([start, stop]).all():
+        raise ParamError(f"grid start and stop must be finite, got {spec!r}")
     if steps < 2 or stop <= start:
         raise ParamError(f"grid needs stop > start and at least 2 steps, got {spec!r}")
     width = (stop - start) / (steps - 1)
@@ -292,7 +294,7 @@ def _cmd_dpi_search(ns: argparse.Namespace, cfg: RunConfig) -> int:
         "t": cfg.t,
         "dim": dim,
         "trials": trials,
-        "channel_family": ns.channel_family,
+        "channel_family": "pinching",
         "verdict": verdict,
         "witness": witness.to_json() if witness is not None else None,
     }
@@ -395,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = subs.add_parser("dpi-search", help="seeded search for a DPI violation")
     search.add_argument("--t", type=float, help="weight parameter (required)")
-    search.add_argument("--channel-family", default="pinching",
-                        choices=("pinching",), help="channel family to search over")
     _add_common(search)
     search.set_defaults(func=_cmd_dpi_search)
 

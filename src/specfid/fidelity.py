@@ -85,10 +85,11 @@ def spectral_fidelity_curve(
     """
     _check_pair(rho, sigma)
     ts = [float(t) for t in ts]
-    if not extended:
-        for t in ts:
-            if not 0.0 <= t <= 1.0:
-                raise ParamError(f"parameter t = {t} outside [0, 1]")
+    for t in ts:
+        if not math.isfinite(t):
+            raise ParamError(f"parameter t = {t} is not finite")
+        if not extended and not 0.0 <= t <= 1.0:
+            raise ParamError(f"parameter t = {t} outside [0, 1]")
     return _power_traces(rho.mat, _mean(rho.mat, sigma.mat, riccati=True)[0], ts)
 
 
@@ -131,8 +132,8 @@ def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> 
     alpha > 1 the support of rho must lie inside the support of sigma.
     """
     _check_pair(rho, sigma)
-    if alpha <= 0 or alpha == 1:
-        raise ParamError(f"order alpha = {alpha} must be positive and not 1")
+    if not 0 < alpha < math.inf or alpha == 1:
+        raise ParamError(f"order alpha = {alpha} must be positive, finite and not 1")
     sigma_eig = psd_eig(sigma.mat)
     if alpha > 1:
         proj = power(*sigma_eig, 0.0)
@@ -162,11 +163,13 @@ def diagonal_spectral_fidelity(p, q, t: float) -> FidelityValue:
     if p.shape != q.shape:
         raise DimensionMismatch(f"length mismatch: {p.shape[0]} vs {q.shape[0]}")
     for name, vec in (("p", p), ("q", q)):
-        if np.any(vec < 0):
-            raise NormalizationError(f"{name} has negative entries")
+        if not np.all(vec >= 0):
+            raise NormalizationError(f"{name} has negative or NaN entries")
         if abs(float(vec.sum()) - 1.0) > 1e-12:
             raise NormalizationError(f"{name} sums to {float(vec.sum())!r}, not 1")
     t = float(t)
+    if not math.isfinite(t):
+        raise ParamError(f"parameter t = {t} is not finite")
     total = 0.0
     for pi, qi in zip(p, q):
         if pi == 0.0 and t < 1.0:

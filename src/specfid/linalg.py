@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, DomainError, NonConvergence
+from .errors import DimensionMismatch, DomainError, NonConvergence, ParamError
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -126,8 +126,11 @@ def frac_power(mat: np.ndarray, alpha: float, support_only: bool = False) -> np.
 
     alpha = 1 returns the validated input; alpha = 0 returns the support
     projector (or the identity when support_only is false).  At every
-    alpha, negative eigenvalues below the PSD cutoff raise DomainError.
+    alpha, negative eigenvalues below the PSD cutoff raise DomainError;
+    a non-finite alpha raises ParamError.
     """
+    if not np.isfinite(alpha):
+        raise ParamError(f"power alpha = {alpha} is not finite")
     mat = as_hermitian(mat)
     if alpha == 1:
         require_psd(spectrum(mat), mat)

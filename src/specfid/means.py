@@ -91,6 +91,8 @@ def weighted_spectral_mean(
     rejected unless extended is set (used by divergence-style sweeps
     over the whole real line).
     """
+    if not np.isfinite(t):
+        raise ParamError(f"weight t = {t} is not finite")
     if not extended and not 0.0 <= t <= 1.0:
         raise ParamError(f"weight t = {t} outside [0, 1]")
     (mean,) = _spectral_means(*_validated(a, b), [t])

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,22 +28,22 @@ _TRACE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix with its numerical rank.
+    """Hermitian, PSD, unit-trace matrix.
 
-    rank counts the eigenvalues above psd_cutoff, a coarser threshold
-    than the support_cutoff that the matrix functions apply, so an
-    eigenvalue between the two lies outside the rank but inside the
-    support those functions use.
+    DensityMatrix(mat) runs as_hermitian and the PSD and trace checks;
+    _derived, for states built from validated states, only hermitizes.
+    rank, computed on first read, counts the eigenvalues above
+    psd_cutoff, a coarser threshold than the kernels' support_cutoff, so
+    an eigenvalue between the two lies outside the rank but inside the
+    support the matrix functions use.
     """
 
     mat: np.ndarray
-    rank: int = field(init=False)
 
     def __post_init__(self) -> None:
         mat = as_hermitian(self.mat)
         w = spectrum(mat)
-        cutoff = psd_cutoff(mat)
-        if float(w[0]) < -cutoff:
+        if float(w[0]) < -psd_cutoff(mat):
             raise NormalizationError(
                 f"not a state: min eigenvalue {float(w[0]):.3e}"
             )
@@ -51,7 +52,19 @@ class DensityMatrix:
             raise NormalizationError(f"not a state: trace {trace!r}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "rank", int(np.count_nonzero(w > cutoff)))
+
+    @classmethod
+    def _derived(cls, mat: np.ndarray) -> DensityMatrix:
+        """A state built from validated states: hermitized, not re-checked."""
+        state = object.__new__(cls)
+        mat = hermitize(np.asarray(mat, dtype=complex))
+        mat.setflags(write=False)
+        object.__setattr__(state, "mat", mat)
+        return state
+
+    @cached_property
+    def rank(self) -> int:
+        return int(np.count_nonzero(spectrum(self.mat) > psd_cutoff(self.mat)))
 
     @property
     def dim(self) -> int:
@@ -105,7 +118,7 @@ def random_density(dim: int, rank: int, seed) -> DensityMatrix:
     rng = _as_generator(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     mat = g @ g.conj().T
-    return DensityMatrix(mat / np.real(np.trace(mat)))
+    return DensityMatrix._derived(mat / np.real(np.trace(mat)))
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
@@ -157,13 +170,12 @@ def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
         raise DimensionMismatch(
             f"channel input dim {channel.dim_in} vs state dim {rho.dim}"
         )
-    out = sum(k @ rho.mat @ k.conj().T for k in channel.kraus)
-    return DensityMatrix(hermitize(out))
+    return DensityMatrix._derived(sum(k @ rho.mat @ k.conj().T for k in channel.kraus))
 
 
 def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
     """Kronecker product of two states."""
-    return DensityMatrix(np.kron(rho.mat, sigma.mat))
+    return DensityMatrix._derived(np.kron(rho.mat, sigma.mat))
 
 
 def orthogonal_pair(dim_a: int, dim_b: int, seed) -> tuple[DensityMatrix, DensityMatrix]:
@@ -180,4 +192,4 @@ def orthogonal_pair(dim_a: int, dim_b: int, seed) -> tuple[DensityMatrix, Densit
     sig = np.zeros((d, d), dtype=complex)
     rho[:dim_a, :dim_a] = a.mat
     sig[dim_a:, dim_a:] = b.mat
-    return DensityMatrix(rho), DensityMatrix(sig)
+    return DensityMatrix._derived(rho), DensityMatrix._derived(sig)

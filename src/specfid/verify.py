@@ -203,7 +203,7 @@ def _dpi_trial_pair(
     def near_classical(qubit: DensityMatrix) -> DensityMatrix:
         block = np.zeros((dim, dim), dtype=complex)
         block[:2, :2] = qubit.mat
-        return DensityMatrix((1 - delta) * block + delta * eye)
+        return DensityMatrix._derived((1 - delta) * block + delta * eye)
 
     rho = near_classical(from_bloch((1.0, 0.0, 0.0)))
     sigma = near_classical(pure_state((math.sqrt(p), math.sqrt(1.0 - p))))
@@ -329,8 +329,8 @@ def _multiplicativity_trial(rng, dim, trial, t) -> list[Candidate]:
 def _unitary_invariance_trial(rng, dim, trial, t) -> list[Candidate]:
     rho, sigma = _full_pair(dim, rng)
     u = random_unitary(dim, rng)
-    ru = DensityMatrix(hermitize(u @ rho.mat @ u.conj().T))
-    su = DensityMatrix(hermitize(u @ sigma.mat @ u.conj().T))
+    ru = DensityMatrix._derived(u @ rho.mat @ u.conj().T)
+    su = DensityMatrix._derived(u @ sigma.mat @ u.conj().T)
     tg = T_GRID_11[trial % len(T_GRID_11)]
     v = abs(
         spectral_fidelity(ru, su, tg).value - spectral_fidelity(rho, sigma, tg).value
@@ -417,7 +417,7 @@ def _separate_concavity_trial(rng, dim, trial, t) -> list[Candidate]:
     g2 = spectral_fidelity(sigma, r2, t).value
     candidates = []
     for lam in LAMBDA_GRID:
-        mixed = DensityMatrix(lam * r1.mat + (1.0 - lam) * r2.mat)
+        mixed = DensityMatrix._derived(lam * r1.mat + (1.0 - lam) * r2.mat)
         v1 = lam * f1 + (1.0 - lam) * f2 - spectral_fidelity(mixed, sigma, t).value
         v2 = lam * g1 + (1.0 - lam) * g2 - spectral_fidelity(sigma, mixed, t).value
         candidates.append(
@@ -560,8 +560,8 @@ def _classicalization_trial(rng, dim, trial, t) -> list[Candidate]:
         grid = _INNER_GRID
     else:
         grid = T_GRID_11
-    rho = DensityMatrix(np.diag(p).astype(complex))
-    sigma = DensityMatrix(np.diag(q).astype(complex))
+    rho = DensityMatrix._derived(np.diag(p))
+    sigma = DensityMatrix._derived(np.diag(q))
     fields = {"p": p.tolist(), "q": q.tolist()}
     return [
         Candidate(abs(f - diagonal_spectral_fidelity(p, q, tg).value), {**fields, "t": tg})
@@ -919,8 +919,8 @@ def _minimize_coherence(
 
     def pair_at(s: float) -> tuple[DensityMatrix, DensityMatrix]:
         return (
-            DensityMatrix(rho0.mat + s * (rho.mat - rho0.mat)),
-            DensityMatrix(sigma0.mat + s * (sigma.mat - sigma0.mat)),
+            DensityMatrix._derived(rho0.mat + s * (rho.mat - rho0.mat)),
+            DensityMatrix._derived(sigma0.mat + s * (sigma.mat - sigma0.mat)),
         )
 
     lo, hi = 0.0, 1.0

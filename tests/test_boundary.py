@@ -16,8 +16,11 @@ from specfid import (
     DensityMatrix,
     DimensionMismatch,
     DomainError,
+    NormalizationError,
+    ParamError,
     as_hermitian,
     block_psd,
+    diagonal_spectral_fidelity,
     frac_power,
     geometric_mean,
     is_psd,
@@ -212,3 +215,53 @@ def test_transposed_input_is_accepted():
     state = DensityMatrix(mat.T)
     assert np.array_equal(state.mat, mat.T)
     assert trace_norm(mat.T) == pytest.approx(1.0)
+
+
+# Non-finite scalar parameters, each rejected where it enters.
+_UNIFORM = [0.5, 0.5]
+_NON_FINITE_PARAMETERS = {
+    "sandwiched_renyi_nan": (lambda: sandwiched_renyi(_RHO, _SIGMA, np.nan), ParamError),
+    "sandwiched_renyi_inf": (lambda: sandwiched_renyi(_RHO, _SIGMA, np.inf), ParamError),
+    "frac_power_nan": (lambda: frac_power(_RHO.mat, np.nan), ParamError),
+    "frac_power_inf": (lambda: frac_power(_RHO.mat, np.inf), ParamError),
+    "spectral_fidelity_curve_extended_nan": (
+        lambda: spectral_fidelity_curve(_RHO, _SIGMA, [np.nan], extended=True), ParamError),
+    "weighted_spectral_mean_extended_nan": (
+        lambda: weighted_spectral_mean(_RHO.mat, _SIGMA.mat, np.nan, extended=True),
+        ParamError),
+    "weighted_spectral_mean_extended_inf": (
+        lambda: weighted_spectral_mean(_RHO.mat, _SIGMA.mat, np.inf, extended=True),
+        ParamError),
+    "diagonal_spectral_fidelity_t_nan": (
+        lambda: diagonal_spectral_fidelity(_UNIFORM, _UNIFORM, np.nan), ParamError),
+    "diagonal_spectral_fidelity_t_inf": (
+        lambda: diagonal_spectral_fidelity(_UNIFORM, _UNIFORM, np.inf), ParamError),
+    "diagonal_spectral_fidelity_p_nan": (
+        lambda: diagonal_spectral_fidelity([np.nan, 1.0], _UNIFORM, 0.3), NormalizationError),
+    "diagonal_spectral_fidelity_q_nan": (
+        lambda: diagonal_spectral_fidelity(_UNIFORM, [1.0, np.nan], 0.3), NormalizationError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_PARAMETERS))
+def test_non_finite_parameters_are_rejected(name):
+    evaluate, error = _NON_FINITE_PARAMETERS[name]
+    with pytest.raises(error):
+        evaluate()
+
+
+# Suites whose states are all built from validated states.
+_DERIVED_STATE_SUITES = (
+    "classicalization",
+    "multiplicativity",
+    "separate_concavity",
+    "tensor_stabilization",
+    "unitary_invariance",
+)
+
+
+@pytest.mark.parametrize("property_id", _DERIVED_STATE_SUITES)
+def test_derived_states_are_not_rechecked(monkeypatch, property_id):
+    eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    run_suite(property_id, n_samples=3, rng_seed=42)
+    assert len(eigvalsh) == 0

@@ -158,7 +158,7 @@ def test_sweep_json_rows(capsys, diag_pair):
 
 def test_sweep_grid_validation(capsys, diag_pair):
     a, b = diag_pair
-    for grid in ("0:1", "1:0:5", "0:1:1"):
+    for grid in ("0:1", "1:0:5", "0:1:1", "0:inf:3"):
         code, _, err = _run(capsys, ["sweep", a, b, "--t-grid", grid])
         assert code == 2
         assert "error:" in err
@@ -463,3 +463,14 @@ def test_repeatable_flags_do_not_carry_over(capsys, diag_pair):
     assert code == 0 and list(json.loads(out)["renyi"]) == ["3.0"]
     code, out, _ = _run(capsys, ["fidelity", a, b, "--all", "--no-timestamp"])
     assert code == 0 and list(json.loads(out)["renyi"]) == ["2.0"]
+
+
+def test_fidelity_rejects_non_finite_renyi_order(capsys):
+    code, out, err = _run(
+        capsys,
+        ["fidelity", "--bloch", "0,0,0.5", "--bloch", "0.3,0,0", "--all",
+         "--alpha", "nan", "--no-timestamp"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err

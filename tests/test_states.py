@@ -132,3 +132,48 @@ def test_orthogonal_pair_supports_disjoint():
     rho, sigma = orthogonal_pair(2, 3, trial_rng(4, 0))
     assert rho.dim == sigma.dim == 5
     assert float(np.abs(rho.mat @ sigma.mat).max()) == 0.0
+
+
+def _sampled(dim: int, rank: int, rng) -> np.ndarray:
+    """The matrix random_density normalizes, drawn from the same stream."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    mat = g @ g.conj().T
+    return mat / np.real(np.trace(mat))
+
+
+def _derived_cases() -> dict:
+    """Each state a builder derives, paired with the matrix it derives it from."""
+    cases = {}
+    for dim in (2, 3, 4):
+        for rank in range(1, dim + 1):
+            state = random_density(dim, rank, dim * 10 + rank)
+            raw = _sampled(dim, rank, np.random.default_rng(dim * 10 + rank))
+            cases[f"random_density_{dim}_{rank}"] = (state, raw)
+            kraus = pinching(dim).kraus
+            cases[f"apply_pinching_{dim}_{rank}"] = (
+                apply(pinching(dim), state),
+                sum(k @ state.mat @ k.conj().T for k in kraus),
+            )
+        a, b = random_density(2, 1, 5), random_density(dim, dim, 6)
+        cases[f"tensor_2x{dim}"] = (tensor(a, b), np.kron(a.mat, b.mat))
+        rho, sigma = orthogonal_pair(dim, 2, dim)
+        rng = np.random.default_rng(dim)
+        rho_raw = np.zeros((dim + 2, dim + 2), dtype=complex)
+        sigma_raw = np.zeros_like(rho_raw)
+        rho_raw[:dim, :dim] = _sampled(dim, dim, rng)
+        sigma_raw[dim:, dim:] = _sampled(2, 2, rng)
+        cases[f"orthogonal_pair_rho_{dim}"] = (rho, rho_raw)
+        cases[f"orthogonal_pair_sigma_{dim}"] = (sigma, sigma_raw)
+    return cases
+
+
+_DERIVED = _derived_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVED))
+def test_derived_states_match_validated_construction(name):
+    derived, raw = _DERIVED[name]
+    checked = DensityMatrix(raw)
+    assert derived.mat.tobytes() == checked.mat.tobytes()
+    assert not derived.mat.flags.writeable
+    assert derived.rank == checked.rank

@@ -7,8 +7,9 @@ Usage (from the repository root):
 Each line is `sha256-prefix bytes rc label`.  The CLI outputs are made
 by running `specfid.cli.main` in-process with `--no-timestamp`; the last
 lines hash in-process sweeps of every suite across seeds, sample
-counts, dims lists and t values, of `search_dpi_violation`, and of the
-public matrix functions on seeded pairs.  Run it on two checkouts and
+counts, dims lists and t values, of `search_dpi_violation`, of the
+public matrix functions on seeded pairs, and of the states the public
+state builders return.  Run it on two checkouts and
 compare the lines: hashes depend on the numpy and BLAS build, so they
 are compared between commits on one machine, never pinned.
 """
@@ -24,10 +25,13 @@ import numpy as np
 
 from specfid import (
     FidelityValue,
+    apply,
     frac_power,
     geometric_mean,
     list_properties,
     matsumoto_fidelity,
+    orthogonal_pair,
+    pinching,
     random_density,
     riccati_solution,
     run_suite,
@@ -35,6 +39,7 @@ from specfid import (
     search_dpi_violation,
     spectral_fidelity_curve,
     support_projector,
+    tensor,
     trace_norm,
     uhlmann_fidelity,
     variational_objective,
@@ -154,12 +159,26 @@ def function_sweep() -> bytes:
     return "\n".join(parts).encode()
 
 
+def state_sweep() -> bytes:
+    """Matrix bytes and rank of each state the public builders return."""
+    rng = np.random.default_rng(2025)
+    states = []
+    for dim in (2, 3, 4):
+        samples = [random_density(dim, rank, rng) for rank in range(1, dim + 1)]
+        states += samples
+        states += [apply(pinching(dim), s) for s in samples]
+        states += [tensor(a, b) for a, b in itertools.product(samples[:2], repeat=2)]
+        states += orthogonal_pair(dim, dim - 1, rng)
+    return "\n".join(f"{s.mat.tobytes().hex()} {s.rank}" for s in states).encode()
+
+
 def main_() -> None:
     for argv in CLI_RUNS:
         print(cli_line(argv), flush=True)
     print(_line("suites over seeds, samples, dims and t", suite_sweep(), 0), flush=True)
     print(_line("search_dpi_violation runs", dpi_sweep(), 0), flush=True)
     print(_line("public matrix functions", function_sweep(), 0), flush=True)
+    print(_line("public state builders", state_sweep(), 0), flush=True)
 
 
 if __name__ == "__main__":
