@@ -30,12 +30,13 @@ _TRACE_TOL = 1e-12
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix.
 
-    DensityMatrix(mat) runs as_hermitian and the PSD and trace checks;
-    _derived, for states built from validated states, only hermitizes.
-    rank, computed on first read, counts the eigenvalues above
-    psd_cutoff, a coarser threshold than the kernels' support_cutoff, so
-    an eigenvalue between the two lies outside the rank but inside the
-    support the matrix functions use.
+    DensityMatrix(mat) runs as_hermitian and the PSD and trace checks
+    and keeps the rank its spectrum gives; _derived, for states built
+    from validated states, only hermitizes, and their rank is computed
+    on first read. rank counts the eigenvalues above psd_cutoff, a
+    coarser threshold than the kernels' support_cutoff, so an eigenvalue
+    between the two lies outside the rank but inside the support the
+    matrix functions use.
     """
 
     mat: np.ndarray
@@ -52,6 +53,7 @@ class DensityMatrix:
             raise NormalizationError(f"not a state: trace {trace!r}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
+        self.__dict__["rank"] = int(np.count_nonzero(w > psd_cutoff(mat)))
 
     @classmethod
     def _derived(cls, mat: np.ndarray) -> DensityMatrix:
@@ -135,7 +137,8 @@ def random_unitary(dim: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Channel:
-    """Completely positive trace-preserving map in Kraus form."""
+    """CPTP map in Kraus form: finite K_i with sum K_i† K_i within
+    _TRACE_TOL of I (Frobenius), so apply's images need no trace check."""
 
     kraus: tuple
 
@@ -147,7 +150,7 @@ class Channel:
         if any(k.ndim != 2 or k.shape[1] != din for k in kraus):
             raise DimensionMismatch("Kraus operators have mismatched input dims")
         total = sum(k.conj().T @ k for k in kraus)
-        if float(np.abs(total - np.eye(din)).max()) > 1e-10:
+        if not float(np.linalg.norm(total - np.eye(din))) <= _TRACE_TOL:
             raise NormalizationError("Kraus operators do not sum to the identity")
         object.__setattr__(self, "kraus", kraus)
 

@@ -13,11 +13,13 @@ import pytest
 
 import specfid.linalg
 from specfid import (
+    Channel,
     DensityMatrix,
     DimensionMismatch,
     DomainError,
     NormalizationError,
     ParamError,
+    apply,
     as_hermitian,
     block_psd,
     diagonal_spectral_fidelity,
@@ -139,6 +141,27 @@ def test_density_matrix_validates_without_eigenvectors(counters):
     DensityMatrix(np.diag([0.25, 0.75]))
     assert len(validations) == 1
     assert len(eighs) == 0
+
+
+def test_validated_state_keeps_the_rank_of_its_spectrum(monkeypatch):
+    eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    state = DensityMatrix(np.diag([0.25, 0.75, 0.0]))
+    assert state.rank == 2
+    assert len(eigvalsh) == 1
+
+
+# Channels whose images would not be states: apply does not re-check them.
+_BAD_KRAUS = {
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "trace_above_tolerance": np.sqrt(1 + 1e-11) * np.eye(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_KRAUS))
+def test_apply_rejects_channels_that_do_not_preserve_trace(name):
+    state = DensityMatrix(np.diag([0.25, 0.75]))
+    with pytest.raises(NormalizationError):
+        apply(Channel((_BAD_KRAUS[name],)), state)
 
 
 _EYE = np.eye(2)
