@@ -277,6 +277,8 @@ def _cmd_verify(ns: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_dpi_search(ns: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.t is None:
         raise ParamError("dpi-search requires --t")
+    if cfg.dims and len(cfg.dims) > 1:
+        raise ParamError(f"dpi-search takes one dimension, got {list(cfg.dims)}")
     trials = cfg.samples if cfg.samples is not None else 10000
     dim = cfg.dims[0] if cfg.dims else 2
     witness = search_dpi_violation(
@@ -457,10 +459,7 @@ def main(argv=None) -> int:
         cfg = _resolve(ns, config)
         with TOL.scoped():
             for name, value in cfg.tol_overrides:
-                try:
-                    TOL.override(name, value)
-                except KeyError as exc:
-                    raise ParamError(exc.args[0]) from exc
+                TOL.override(name, value)
             return ns.func(ns, cfg)
     except (SpecfidError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

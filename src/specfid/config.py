@@ -8,9 +8,12 @@ call time and never caches them.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Iterator
+
+from .errors import ParamError
 
 
 @dataclass
@@ -27,10 +30,13 @@ class Tolerances:
     support_rtol: float = 1e-13
 
     def override(self, name: str, value: float) -> None:
-        """Set one tolerance by name, rejecting unknown keys."""
+        """Set one known tolerance by name to a finite number >= 0."""
         if name not in {f.name for f in fields(self)}:
-            raise KeyError(f"unknown tolerance {name!r}")
-        setattr(self, name, float(value))
+            raise ParamError(f"unknown tolerance {name!r}")
+        value = float(value)
+        if not 0.0 <= value < math.inf:
+            raise ParamError(f"tolerance {name} must be finite and >= 0, got {value!r}")
+        setattr(self, name, value)
 
     @contextmanager
     def scoped(self) -> Iterator[None]:

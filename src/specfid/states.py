@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -138,12 +138,13 @@ def random_unitary(dim: int, seed) -> np.ndarray:
 @dataclass(frozen=True)
 class Channel:
     """CPTP map in Kraus form: finite K_i with sum K_i† K_i within
-    _TRACE_TOL of I (Frobenius), so apply's images need no trace check."""
+    _TRACE_TOL of I (Frobenius), kept as read-only copies, so apply's
+    images need no trace check."""
 
     kraus: tuple
 
     def __post_init__(self) -> None:
-        kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        kraus = tuple(np.array(k, dtype=complex) for k in self.kraus)
         if not kraus:
             raise ParamError("a channel needs at least one Kraus operator")
         din = kraus[0].shape[1]
@@ -152,6 +153,8 @@ class Channel:
         total = sum(k.conj().T @ k for k in kraus)
         if not float(np.linalg.norm(total - np.eye(din))) <= _TRACE_TOL:
             raise NormalizationError("Kraus operators do not sum to the identity")
+        for k in kraus:
+            k.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
 
     @property
@@ -159,8 +162,9 @@ class Channel:
         return self.kraus[0].shape[1]
 
 
+@cache
 def pinching(basis_dim: int) -> Channel:
-    """Dephasing channel that zeroes off-diagonal entries in the standard basis."""
+    """The dephasing channel of the standard basis, one shared per dimension."""
     if basis_dim < 1:
         raise ParamError(f"dimension {basis_dim} must be positive")
     eye = np.eye(basis_dim, dtype=complex)

@@ -3,11 +3,11 @@
 Each registered property samples random instances, measures the worst
 violation of one stated identity or inequality, and returns a
 machine-readable report.  A property is a trial function that measures
-one instance; run_suite's single sampling loop runs the trials, each on
-a generator split off the seed by trial index.  Two families are
-expected to fail away from the midpoint (data processing, and the upper
-trace-distance bound); those report fails_as_predicted rather than
-unexpected.
+one instance; one trial stream, read by run_suite and the DPI search,
+runs the trials, each on a generator split off the seed by trial index.
+Two families are expected to fail away from the midpoint (data
+processing, and the upper trace-distance bound); those report
+fails_as_predicted rather than unexpected.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import ParamError, ToleranceError, UnknownProperty
 from .fidelity import (
     _power_traces,
     diagonal_spectral_fidelity,
+    fvg_bounds,
     matsumoto_fidelity,
     sandwiched_renyi,
     spectral_fidelity,
@@ -132,13 +133,6 @@ class Candidate(NamedTuple):
     violation: float
     fields: dict
     stats: tuple[float, ...] = ()
-
-
-class _Abort(Exception):
-    """Raised by a trial whose input breaks the suite's premise.
-
-    Its arguments, a Candidate and the notes, then make the whole report.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +451,7 @@ def _variational_dominance_trial(rng, dim, trial, t) -> list[Candidate]:
     x_star = riccati_solution(rho.mat, sigma.mat)
     inv_rho = frac_power(rho.mat, -1.0)
     if not block_psd(inv_rho, x_star, sigma.mat):
-        raise _Abort(
-            Candidate(1.0, {"rho": rho, "sigma": sigma}),
-            ("maximizer failed the block feasibility test",),
-        )
+        return [Candidate(1.0, {"rho": rho, "sigma": sigma}, (1.0,))]
     root = frac_power(x_star, 0.5)
     targets = spectral_fidelity_curve(rho, sigma, t_grid)
     candidates = []
@@ -484,6 +475,11 @@ def _variational_dominance_trial(rng, dim, trial, t) -> list[Candidate]:
             for tg, value, target in zip(t_grid, values, targets)
         )
     return candidates
+
+
+def _variational_dominance_notes(t, peaks) -> tuple[str, ...]:
+    # only a maximizer that fails the block test reports a stat
+    return ("maximizer failed the block feasibility test",) if peaks else ()
 
 
 def _zero_condition_trial(rng, dim, trial, t) -> list[Candidate]:
@@ -721,7 +717,8 @@ _REGISTRY: dict[str, PropertySpec] = {
         "one minus the value is below half the trace distance"),
     "variational_dominance": PropertySpec(
         _variational_dominance_trial, 1e-8, (2, 3, 4), 10, _never,
-        "no verified-feasible contraction beats the maximizer below the midpoint"),
+        "no verified-feasible contraction beats the maximizer below the midpoint",
+        notes=_variational_dominance_notes),
     "zero_condition": PropertySpec(
         _zero_condition_trial, 1e-10, (4, 6), 200, _never,
         "orthogonal supports give exactly zero"),
@@ -777,28 +774,29 @@ def _witness_value(value):
     return value
 
 
+def _candidates(trial_fn, dims: tuple[int, ...], n_samples: int, seed: int, t):
+    """(trial, dim, candidate) in trial order; each trial runs on its own
+    generator and the dim its index picks, so it replays alone."""
+    for trial in range(n_samples):
+        dim = dims[trial % len(dims)]
+        for cand in trial_fn(trial_rng(seed, trial), dim, trial, t):
+            yield trial, dim, cand
+
+
 def _run_trials(
     spec: PropertySpec, dims: tuple[int, ...], n_samples: int, seed: int, t
 ) -> tuple[float, dict, tuple[str, ...]]:
-    """The one sampling loop: the first strictly greatest candidate wins.
+    """The first strictly greatest candidate of the stream wins.
 
-    Trials run in order, each on its own generator and the dim its index
-    picks, so any trial replays alone from (seed, trial).  A candidate
-    must beat -1 to become the witness.
+    A candidate must beat -1 to become the witness.
     """
     worst, found, peaks = -1.0, None, None
-    try:
-        for trial in range(n_samples):
-            dim = dims[trial % len(dims)]
-            for cand in spec.trial(trial_rng(seed, trial), dim, trial, t):
-                if cand.violation > worst:
-                    worst, found = cand.violation, (trial, dim, cand.fields)
-                if cand.stats:
-                    peaks = cand.stats if peaks is None else tuple(map(max, peaks, cand.stats))
-        notes = spec.notes(t, peaks) if callable(spec.notes) else spec.notes
-    except _Abort as abort:
-        cand, notes = abort.args
-        worst, found = cand.violation, (trial, dim, cand.fields)
+    for trial, dim, cand in _candidates(spec.trial, dims, n_samples, seed, t):
+        if cand.violation > worst:
+            worst, found = cand.violation, (trial, dim, cand.fields)
+        if cand.stats:
+            peaks = cand.stats if peaks is None else tuple(map(max, peaks, cand.stats))
+    notes = spec.notes(t, peaks) if callable(spec.notes) else spec.notes
     witness = {}
     if found is not None:
         trial, dim, fields = found
@@ -911,11 +909,13 @@ def _minimize_coherence(
 
     The line s -> (dephased + s (original - dephased)) stays inside the
     state space, so the smallest violating s measures how close to a
-    commuting pair the witness can be pushed.  The dephased end s = 0
-    never violates: pinching is idempotent, so it leaves that pair as
-    it is and the fidelity cannot drop.
+    commuting pair the witness can be pushed.  The channel must be
+    idempotent, as pinching is: a linear idempotent channel maps every
+    point of the line to the dephased end s = 0, so the fidelity after
+    it is computed once, and s = 0 itself never violates.
     """
     rho0, sigma0 = apply(channel, rho), apply(channel, sigma)
+    after = spectral_fidelity(rho0, sigma0, t).value
 
     def pair_at(s: float) -> tuple[DensityMatrix, DensityMatrix]:
         return (
@@ -926,14 +926,12 @@ def _minimize_coherence(
     lo, hi = 0.0, 1.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        rho_m, sigma_m = pair_at(mid)
-        gap, _, _ = _violation_gap(rho_m, sigma_m, t, channel)
-        if gap > TOL.dpi_margin:
+        if spectral_fidelity(*pair_at(mid), t).value - after > TOL.dpi_margin:
             hi = mid
         else:
             lo = mid
     rho_h, sigma_h = pair_at(hi)
-    _, before, after = _violation_gap(rho_h, sigma_h, t, channel)
+    before = spectral_fidelity(rho_h, sigma_h, t).value
     return DPIWitness(rho_h, sigma_h, t, channel, before, after)
 
 
@@ -945,22 +943,20 @@ def search_dpi_violation(
 ) -> DPIWitness | None:
     """Search random pairs for a fidelity drop under pinching.
 
-    Returns the first witness whose drop exceeds the configured margin,
-    pushed by bisection to the smallest coherence that still violates,
-    or None when the budget is exhausted.  Finding nothing at the
-    midpoint is the expected outcome there.
+    Walks the dpi_monotone trial stream and returns its first pair whose
+    drop exceeds the configured margin, pushed by bisection to the
+    smallest coherence that still violates, or None when the budget is
+    exhausted.  Finding nothing at the midpoint is expected there.
     """
     if not 0.0 < t < 1.0:
         raise ParamError(f"parameter t = {t} outside (0, 1)")
     if dim < 2:
         raise ParamError(f"dimension {dim} must be at least 2")
-    channel = pinching(dim)
-    for trial in range(n_trials):
-        rng = trial_rng(rng_seed, trial)
-        rho, sigma = _dpi_trial_pair(dim, t, trial % 3, rng)
-        gap, before, after = _violation_gap(rho, sigma, t, channel)
-        if gap > TOL.dpi_margin:
-            return _minimize_coherence(rho, sigma, t, channel)
+    for _, _, cand in _candidates(_dpi_trial, (dim,), n_trials, rng_seed, t):
+        if cand.violation > TOL.dpi_margin:
+            return _minimize_coherence(
+                cand.fields["rho"], cand.fields["sigma"], t, pinching(dim)
+            )
     return None
 
 
@@ -974,7 +970,7 @@ def second_fvg_failure(t: float, c: float) -> SecondFvgResult:
     """Evaluate the upper trace-distance comparison on a pure pair.
 
     Builds two pure states with overlap c, evaluates half the trace
-    distance and sqrt(1 - F_t^2) through the full machinery, and
+    distance and sqrt(1 - F_t^2) through fvg_bounds, and
     cross-checks both against their closed forms sqrt(1 - c^2) and
     sqrt(1 - c^{4t}).  violated reports whether the distance exceeds
     the bound.
@@ -983,16 +979,12 @@ def second_fvg_failure(t: float, c: float) -> SecondFvgResult:
         raise ParamError(f"overlap c = {c} outside (0, 1)")
     if not 0.0 <= t <= 1.0:
         raise ParamError(f"parameter t = {t} outside [0, 1]")
-    rho = pure_state((1.0, 0.0))
-    sigma = pure_state((c, math.sqrt(1.0 - c * c)))
-    f = spectral_fidelity(rho, sigma, t).value
-    dist = 0.5 * trace_norm(rho.mat - sigma.mat)
-    rhs = math.sqrt(max(0.0, 1.0 - f * f))
-    closed_dist = math.sqrt(1.0 - c * c)
+    sine = math.sqrt(1.0 - c * c)
+    _, dist, rhs = fvg_bounds(pure_state((1.0, 0.0)), pure_state((c, sine)), t)
     closed_rhs = math.sqrt(max(0.0, 1.0 - c ** (4.0 * t)))
-    if abs(dist - closed_dist) > 1e-9 or abs(rhs - closed_rhs) > 1e-9:
+    if abs(dist - sine) > 1e-9 or abs(rhs - closed_rhs) > 1e-9:
         raise ToleranceError(
-            f"machinery deviates from the closed forms: {dist!r} vs {closed_dist!r}, "
+            f"machinery deviates from the closed forms: {dist!r} vs {sine!r}, "
             f"{rhs!r} vs {closed_rhs!r}"
         )
     return SecondFvgResult(dist, rhs, dist > rhs + 1e-12)
@@ -1019,8 +1011,7 @@ def t_sweep(rho: DensityMatrix, sigma: DensityMatrix, t_grid) -> TSweepCurve:
     ts = [float(x) for x in t_grid]
     if ts != sorted(ts):
         raise ParamError("parameter grid must be sorted ascending")
-    extended = any(x < 0.0 or x > 1.0 for x in ts)
-    values = spectral_fidelity_curve(rho, sigma, ts, extended=extended)
+    values = spectral_fidelity_curve(rho, sigma, ts, extended=True)
     with np.errstate(divide="ignore"):
         log_values = [float(np.log(v)) if v > 0 else -math.inf for v in values]
     return TSweepCurve(

@@ -13,6 +13,7 @@ import pytest
 
 import specfid.linalg
 from specfid import (
+    TOL,
     Channel,
     DensityMatrix,
     DimensionMismatch,
@@ -26,6 +27,7 @@ from specfid import (
     frac_power,
     geometric_mean,
     is_psd,
+    pinching,
     random_density,
     riccati_solution,
     run_suite,
@@ -162,6 +164,37 @@ def test_apply_rejects_channels_that_do_not_preserve_trace(name):
     state = DensityMatrix(np.diag([0.25, 0.75]))
     with pytest.raises(NormalizationError):
         apply(Channel((_BAD_KRAUS[name],)), state)
+
+
+def test_channel_keeps_its_own_copy_of_the_operators():
+    k = np.eye(2, dtype=complex)
+    channel = Channel((k,))
+    k *= 2
+    image = apply(channel, DensityMatrix(np.diag([0.25, 0.75])))
+    assert np.real(np.trace(image.mat)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_channel_operators_are_read_only():
+    with pytest.raises(ValueError):
+        pinching(2).kraus[0][0, 0] = 3
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-9])
+@pytest.mark.parametrize("name", ["herm_tol", "psd_tol", "dpi_margin", "support_rtol"])
+def test_tolerance_override_rejects_values_outside_its_domain(name, value):
+    with TOL.scoped():
+        before = getattr(TOL, name)
+        with pytest.raises(ParamError):
+            TOL.override(name, value)
+        assert getattr(TOL, name) == before
+        # a NaN psd_tol would have let this non-state through
+        with pytest.raises(NormalizationError):
+            DensityMatrix(np.diag([1.5, -0.5]))
+
+
+def test_tolerance_override_rejects_unknown_names():
+    with pytest.raises(ParamError, match="unknown tolerance 'bogus'"):
+        TOL.override("bogus", 1e-9)
 
 
 _EYE = np.eye(2)

@@ -284,6 +284,38 @@ def test_tolerance_override(capsys, diag_pair):
         assert name in err
 
 
+_PAIR = ["--bloch", "0,0,0.5", "--bloch", "0.3,0,0", "--no-timestamp"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fidelity", *_PAIR, "--tol-override", "psd_tol=nan"],
+        ["fidelity", *_PAIR, "--tol-override", "herm_tol=inf"],
+        ["fidelity", *_PAIR, "--tol-override", "support_rtol=-1e-13"],
+        ["dpi-search", "--t", "0.5", "--samples", "50", "--no-timestamp",
+         "--tol-override", "dpi_margin=-1"],
+    ],
+    ids=["psd_tol_nan", "herm_tol_inf", "support_rtol_negative", "dpi_margin_negative"],
+)
+def test_tolerance_override_outside_its_domain_exits_two(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "finite and >= 0" in err
+
+
+@pytest.mark.parametrize("overrides", [{"psd_tol": math.nan}, {"dpi_margin": -1}])
+def test_config_file_tolerance_outside_its_domain_exits_two(capsys, tmp_path, overrides):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"tol_overrides": overrides}))
+    argv = ["dpi-search", "--t", "0.5", "--samples", "50", "--config", str(config)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "finite and >= 0" in err
+
+
 def test_tolerance_override_reaches_suite_verdicts(capsys):
     # dpi_monotone judges against dpi_margin as it stands when the suite
     # runs; a margin above every drop turns the predicted failure off.
@@ -333,6 +365,15 @@ def test_dpi_search_above_two_dimensions(capsys):
     witness = record["witness"]
     assert witness["rho"]["dim"] == 3
     assert witness["f_after"] < witness["f_before"] - 1e-7
+
+
+def test_dpi_search_takes_one_dimension(capsys):
+    code, out, err = _run(
+        capsys, ["dpi-search", "--t", "0.8", "--dims", "3,5", "--no-timestamp"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "one dimension" in err
 
 
 def test_dpi_search_midpoint_finds_nothing(capsys):

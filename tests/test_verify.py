@@ -7,7 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import specfid.verify
 from specfid import (
+    TOL,
+    Channel,
     DensityMatrix,
     ParamError,
     ToleranceError,
@@ -26,7 +29,12 @@ from specfid import (
     t_sweep,
     trial_rng,
 )
-from specfid.verify import _REGISTRY
+from specfid.verify import (
+    _REFERENCE_RHO,
+    _REFERENCE_SIGMA,
+    _REGISTRY,
+    _minimize_coherence,
+)
 
 REPORT_KEYS = ["property", "verdict", "max_violation", "witness", "seed", "samples"]
 
@@ -219,6 +227,86 @@ def test_search_validation():
         search_dpi_violation(0.8, dim=1)
     # An exhausted budget is not an error, just an empty result.
     assert search_dpi_violation(0.8, n_trials=0) is None
+
+
+@pytest.mark.parametrize("t, dim, seed", [(0.2, 3, 5), (0.8, 2, 42)])
+def test_search_bisects_the_first_violating_trial_of_the_suite(monkeypatch, t, dim, seed):
+    # The search walks the dpi_monotone trial stream: the pair it bisects
+    # is the suite's first trial whose drop exceeds the margin.
+    bisected = []
+    monkeypatch.setattr(
+        specfid.verify, "_minimize_coherence",
+        lambda rho, sigma, t, channel: bisected.append((rho, sigma)),
+    )
+    search_dpi_violation(t, dim=dim, n_trials=200, rng_seed=seed)
+    ((rho, sigma),) = bisected
+    for trial in range(200):
+        (cand,) = _REGISTRY["dpi_monotone"].trial(trial_rng(seed, trial), dim, trial, t)
+        if cand.violation > TOL.dpi_margin:
+            break
+    assert np.array_equal(rho.mat, cand.fields["rho"].mat)
+    assert np.array_equal(sigma.mat, cand.fields["sigma"].mat)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record every call verify makes to its binding of name."""
+    original = getattr(specfid.verify, name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(specfid.verify, name, counted)
+    return calls
+
+
+def test_bisection_dephases_its_pair_once(monkeypatch):
+    # Pinching maps every point of the bisection line to the dephased
+    # pair, so the fidelity after it is computed once: 40 bisection
+    # points plus the dephased pair and the witness's own before.
+    rho, sigma = DensityMatrix(_REFERENCE_RHO), DensityMatrix(_REFERENCE_SIGMA)
+    applies = _count_calls(monkeypatch, "apply")
+    fidelities = _count_calls(monkeypatch, "spectral_fidelity")
+    witness = _minimize_coherence(rho, sigma, 0.8, pinching(2))
+    assert len(applies) == 2
+    assert len(fidelities) == 42
+    assert witness.f_after < witness.f_before - 1e-7
+
+
+def test_dpi_runs_share_one_pinching_per_dim(monkeypatch):
+    assert pinching(3) is pinching(3)
+    run_suite("dpi_midpoint", n_samples=4)
+    built = []
+    original = Channel.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Channel, "__post_init__", counted)
+    run_suite("dpi_midpoint", n_samples=4)
+    run_suite("dpi_monotone", n_samples=4)
+    search_dpi_violation(0.8, dim=3, n_trials=30)
+    assert built == []
+
+
+def test_maximizer_failing_the_block_test_makes_the_report(monkeypatch):
+    # Only trial 0's maximizer fails the block test; the report is that
+    # trial's, with the one note, whatever the later trials measure.
+    block_psd = specfid.verify.block_psd
+    calls = []
+
+    def first_call_fails(*args):
+        calls.append(args)
+        return len(calls) > 1 and block_psd(*args)
+
+    monkeypatch.setattr(specfid.verify, "block_psd", first_call_fails)
+    report = run_suite("variational_dominance", n_samples=2)
+    assert report.max_violation == 1.0
+    assert report.worst_witness["trial"] == 0
+    assert report.notes == ("maximizer failed the block feasibility test",)
+    assert report.verdict == "unexpected"
 
 
 def test_second_fvg_failure_oracle():
