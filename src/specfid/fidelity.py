@@ -47,28 +47,48 @@ def _check_pair(rho: DensityMatrix, sigma: DensityMatrix) -> None:
         raise DimensionMismatch(f"state dims differ: {rho.dim} vs {sigma.dim}")
 
 
+# Exponents at which numpy's scalar `lam ** e` takes its reciprocal, sqrt
+# and square fast paths; a broadcast power can differ there by one ulp.
+_FAST_EXPONENTS = (-1.0, 0.5, 2.0)
+
+
+def _support_weights(rho: np.ndarray, x: np.ndarray):
+    """The eigenvalues lam_k of X on its support and w_k = <v_k|rho|v_k>."""
+    w, v, on = psd_eig(x)
+    lam, v = w[on], v[:, on]
+    return lam, (v.conj() * (rho @ v)).real.sum(axis=0)
+
+
 def _power_traces(rho: np.ndarray, x: np.ndarray, ts) -> list[float]:
-    """Tr[rho X^(2t)] for every t, the power restricted to the support of X.
+    """Tr[rho X^(2t)] for every t of a list or tuple, the power restricted
+    to the support of X.
 
     One decomposition X = sum_k lam_k |v_k><v_k| serves the whole grid:
     the trace is sum_k w_k lam_k^(2t) over the support, with weights
-    w_k = <v_k|rho|v_k>.  Each value is computed the same way whatever
-    the grid, so a one-point grid reproduces any point of a longer one
-    exactly.  At t = 1/2 the power is X itself and the trace Tr[rho X]
-    needs no decomposition.
+    w_k = <v_k|rho|v_k>.  A one-point grid takes the scalar lam ** (2t);
+    a longer one takes one broadcast lam ** (2t)[:, None], except at the
+    fast exponents, whose rows keep the scalar power, so a one-point
+    grid reproduces any point of a longer one exactly.  At t = 1/2 the
+    power is X itself and the trace Tr[rho X] needs no decomposition.
     """
-    values = []
-    lam = weights = None
-    for t in ts:
+    if len(ts) == 1:
+        t = ts[0]
         if t == 0.5:
-            values.append(float(np.real(np.trace(rho @ x))))
-            continue
-        if lam is None:
-            w, v, on = psd_eig(x)
-            lam, v = w[on], v[:, on]
-            weights = (v.conj() * (rho @ v)).real.sum(axis=0)
-        values.append(float((weights * lam ** (2 * t)).sum()))
-    return values
+            return [float(np.real(np.trace(rho @ x)))]
+        lam, weights = _support_weights(rho, x)
+        return [float((weights * lam ** (2 * t)).sum())]
+    mid = float(np.real(np.trace(rho @ x))) if 0.5 in ts else None
+    if ts.count(0.5) == len(ts):
+        return [mid] * len(ts)
+    lam, weights = _support_weights(rho, x)
+    exps = 2 * np.array(ts)
+    powers = lam ** exps[:, None]
+    for e in _FAST_EXPONENTS:
+        powers[exps == e] = lam ** e
+    traces = (weights * powers).sum(axis=1)
+    if mid is not None:
+        traces[exps == 1.0] = mid
+    return traces.tolist()
 
 
 def spectral_fidelity_curve(

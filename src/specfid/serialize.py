@@ -6,7 +6,7 @@ produce byte-identical output and values round-trip through text.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -15,39 +15,40 @@ from .errors import DimensionMismatch, DomainError, NormalizationError
 from .states import DensityMatrix
 
 
+# format(x, ".17g") spells the non-finite floats "nan", "inf" and "-inf".
+_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+
+
 def fmt_float(x: float) -> str:
     """Render one float with 17 significant digits."""
-    x = float(x)
-    if x != x:
-        return '"nan"'
-    if x == float("inf"):
-        return '"inf"'
-    if x == float("-inf"):
-        return '"-inf"'
-    return f"{x:.17g}"
+    s = format(float(x), ".17g")
+    return _NONFINITE.get(s, s)
 
 
 def dumps(obj: Any) -> str:
     """Serialize to a single JSON line with deterministic formatting.
 
     Dict keys keep insertion order; floats use 17 significant digits;
-    non-finite floats become the strings "inf", "-inf", "nan".
+    non-finite floats become the strings "inf", "-inf", "nan".  The
+    types a record is mostly made of (float, dict, list, tuple, str) are
+    tested first.
     """
+    if isinstance(obj, (float, np.floating)):
+        return fmt_float(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(
+            [encode_basestring_ascii(str(k)) + ": " + dumps(v) for k, v in obj.items()]
+        ) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([dumps(v) for v in obj]) + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist())
     raise DomainError(f"cannot serialize object of type {type(obj).__name__}")
@@ -104,8 +105,7 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
 
     def cell(v: Any) -> str:
         if isinstance(v, (float, np.floating)):
-            s = fmt_float(float(v))
-            return s.strip('"')
+            return format(float(v), ".17g")  # non-finite: nan, inf, -inf
         return str(v)
 
     lines = [",".join(header)]

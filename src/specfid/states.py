@@ -26,7 +26,7 @@ _PAULI = (
 _TRACE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix.
 
@@ -36,7 +36,7 @@ class DensityMatrix:
     on first read. rank counts the eigenvalues above psd_cutoff, a
     coarser threshold than the kernels' support_cutoff, so an eigenvalue
     between the two lies outside the rank but inside the support the
-    matrix functions use.
+    matrix functions use. Equality and hashing are by identity.
     """
 
     mat: np.ndarray
@@ -135,11 +135,11 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     return q * phases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """CPTP map in Kraus form: finite K_i with sum K_i† K_i within
     _TRACE_TOL of I (Frobenius), kept as read-only copies, so apply's
-    images need no trace check."""
+    images need no trace check. Equality and hashing are by identity."""
 
     kraus: tuple
 

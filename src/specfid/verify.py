@@ -383,11 +383,9 @@ def _midpoint_minimum_notes(t, peaks) -> tuple[str, ...]:
     )
 
 
-def _second_differences(values: list[float]) -> list[float]:
-    return [
-        values[i - 1] - 2.0 * values[i] + values[i + 1]
-        for i in range(1, len(values) - 1)
-    ]
+def _second_differences(values) -> list[float]:
+    v = np.asarray(values)
+    return (v[:-2] - 2.0 * v[1:-1] + v[2:]).tolist()
 
 
 def _convexity_trial(rng, dim, trial, t) -> list[Candidate]:
@@ -1006,18 +1004,23 @@ def t_sweep(rho: DensityMatrix, sigma: DensityMatrix, t_grid) -> TSweepCurve:
 
     Second differences use the grid as given; they are the discrete
     convexity certificates for the value and its logarithm (the log of
-    an exact zero propagates as -inf).
+    a value that is not positive is -inf, and a second difference that
+    meets -inf is infinite or NaN).  Both are array expressions over the
+    whole grid.
     """
     ts = [float(x) for x in t_grid]
     if ts != sorted(ts):
         raise ParamError("parameter grid must be sorted ascending")
     values = spectral_fidelity_curve(rho, sigma, ts, extended=True)
-    with np.errstate(divide="ignore"):
-        log_values = [float(np.log(v)) if v > 0 else -math.inf for v in values]
+    v = np.array(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(v > 0, np.log(v), -np.inf)
+        second_diff = _second_differences(v)
+        log_second_diff = _second_differences(logs)
     return TSweepCurve(
         tuple(ts),
         tuple(values),
-        tuple(log_values),
-        tuple(_second_differences(values)) if len(values) >= 3 else (),
-        tuple(_second_differences(log_values)) if len(values) >= 3 else (),
+        tuple(logs.tolist()),
+        tuple(second_diff),
+        tuple(log_second_diff),
     )

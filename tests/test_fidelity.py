@@ -305,6 +305,19 @@ def test_single_point_equals_curve_point_exactly():
         for i, t in enumerate(grid):
             assert spectral_fidelity(rho, sigma, t).value == curve[i]
             assert reversed_curve[-1 - i] == curve[i]
+    # A grid's powers are one broadcast, a one-point call's the scalar
+    # lam ** (2t); at t = -0.5, 0.25 and 1 (2t = -1, 0.5, 2) only the scalar
+    # takes numpy's reciprocal, sqrt and square paths, which a broadcast
+    # power misses by one ulp on some pairs.
+    extended_grid = [-0.5, -0.25, *grid, 1.5]
+    for dim in (2, 4, 8):
+        for trial in range(17):
+            rho = random_density(dim, 1 + trial % dim, rng)
+            sigma = random_density(dim, dim, rng)
+            curve = spectral_fidelity_curve(rho, sigma, extended_grid, extended=True)
+            for t, value in zip(extended_grid, curve):
+                point = spectral_fidelity(rho, sigma, t, extended=True).value
+                assert point == value, (dim, trial, t)
 
 
 def test_curve_midpoint_is_the_uhlmann_trace():

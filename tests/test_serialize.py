@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -47,6 +48,32 @@ def test_dumps_is_valid_json_with_key_order():
 def test_dumps_numpy_scalars_and_arrays():
     text = dumps({"v": np.float64(0.25), "n": np.int64(3), "m": np.eye(2)})
     assert json.loads(text) == {"v": 0.25, "n": 3, "m": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+class _Label(str):
+    pass
+
+
+def test_dumps_golden_bytes():
+    # Expected string written by the isinstance-chain dumps that preceded
+    # the exact-type dispatch; every byte must stay the same.
+    obj = {
+        "nested": {"list": [1, [2.5, "x\"\n"]], "tuple": (0.1, ())},
+        "ordered": OrderedDict([("b", 1), (_Label("a"), _Label("sub"))]),
+        "numpy": [np.float64(0.25), np.int64(-3), True, None],
+        "edges": [-0.0, 5e-324, 1e300],
+        "nonfinite": (math.nan, math.inf, -math.inf),
+        "é": np.array([[1.0, -0.5], [2.0, 1.0 / 3.0]]),
+    }
+    assert dumps(obj) == (
+        '{"nested": {"list": [1, [2.5, "x\\"\\n"]], '
+        '"tuple": [0.10000000000000001, []]}, '
+        '"ordered": {"b": 1, "a": "sub"}, '
+        '"numpy": [0.25, -3, true, null], '
+        '"edges": [-0, 4.9406564584124654e-324, 1.0000000000000001e+300], '
+        '"nonfinite": ["nan", "inf", "-inf"], '
+        '"\\u00e9": [[1, -0.5], [2, 0.33333333333333331]]}'
+    )
 
 
 def test_dumps_rejects_unknown_types():
@@ -94,3 +121,5 @@ def test_write_csv_shape_and_digits():
     assert lines[1].startswith("0.3333333333333333")
     assert float(lines[2].split(",")[1]) == 0.1
     assert text.endswith("\n")
+    nonfinite = write_csv(["a", "b", "c", "d"], [[math.nan, math.inf, -math.inf, -0.0]])
+    assert nonfinite == "a,b,c,d\nnan,inf,-inf,-0\n"

@@ -22,6 +22,7 @@ from specfid import (
     trial_rng,
 )
 from specfid.errors import DimensionMismatch, ZeroVector
+from specfid.verify import replay_reference_counterexample
 
 
 def test_density_matrix_validation():
@@ -107,6 +108,18 @@ def test_channel_kraus_completeness_enforced():
         Channel((np.eye(2) * 0.5,))
     with pytest.raises(ParamError):
         Channel(())
+
+
+def test_states_and_channels_compare_and_hash_by_identity():
+    rho, twin = DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(2) / 2)
+    assert (rho == twin) is False and (rho == rho) is True
+    assert (Channel((np.eye(2),)) == Channel((np.eye(2),))) is False
+    assert len({rho, twin, rho}) == 2
+    assert hash(pinching(2)) == hash(pinching(2))
+    assert pinching(2) == pinching(2)  # cached: one channel per dimension
+    witness = replay_reference_counterexample()
+    assert witness == witness
+    assert (witness == replay_reference_counterexample()) is False
 
 
 def test_pinching_dephases():

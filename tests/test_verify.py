@@ -360,6 +360,13 @@ def test_t_sweep_log_of_zero_value():
     curve = t_sweep(rho, sigma, [0.25, 0.5, 0.75])
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in curve.values)
     assert all(lv == -math.inf for lv in curve.log_values)
+    # -inf - 2 (-inf) + (-inf) is NaN; the values' own difference is exactly 0.
+    assert curve.second_diff == (0.0,)
+    assert len(curve.log_second_diff) == 1 and math.isnan(curve.log_second_diff[0])
+    for grid in ([0.25, 0.75], [0.5]):
+        short = t_sweep(rho, sigma, grid)
+        assert len(short.values) == len(short.log_values) == len(grid)
+        assert short.second_diff == () and short.log_second_diff == ()
 
 
 @pytest.mark.parametrize("steps", [2, 201])

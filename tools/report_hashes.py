@@ -71,6 +71,9 @@ CLI_RUNS = [
     ["sweep", "--no-timestamp", *_PAIR, "--t-grid", "0:1:201"],
     ["sweep", "--no-timestamp", "--bloch", "0,0,1", "--bloch", "1,0,0",
      "--t-grid=-1:2:201"],
+    ["sweep", "--no-timestamp", *_PAIR, "--t-grid", "0:1:201", "--format", "csv"],
+    ["sweep", "--no-timestamp", "--bloch", "0,0,1", "--bloch", "0,0,-1",
+     "--t-grid", "0:1:5"],
 ]
 
 
