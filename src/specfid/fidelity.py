@@ -52,11 +52,43 @@ def _check_pair(rho: DensityMatrix, sigma: DensityMatrix) -> None:
 _FAST_EXPONENTS = (-1.0, 0.5, 2.0)
 
 
-def _support_weights(rho: np.ndarray, x: np.ndarray):
-    """The eigenvalues lam_k of X on its support and w_k = <v_k|rho|v_k>."""
+def _support_weights(rho: np.ndarray, w: np.ndarray, v: np.ndarray, k):
+    """The support eigenvalues lam of X and w_k = <v_k|rho|v_k>, from a
+    psd_eig system (w, v) of X, for a pair or a stack of pairs whose
+    supports all have k vectors.
+
+    The support of an ascending spectrum is its last k entries, so it is
+    one slice v[..., d-k:], and rho @ v_k has the shape it has for a pair
+    alone: at k = 1 a matrix-vector product, whose rounding is not that
+    of the matrix product on the full v.
+    """
+    d = w.shape[-1]
+    vk = np.ascontiguousarray(v[..., d - k:])
+    return w[..., d - k:], (vk.conj() * (rho @ vk)).real.sum(axis=-2)
+
+
+def _power_trace(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+    """Tr[rho X^(2t)] at one t for a pair or each pair of two stacks, the
+    power restricted to the support of X; at t = 1/2 it is Tr[rho X].
+
+    A stack is split into groups of equal support size, each group
+    evaluated as one stack, so every pair gets its value alone bit for
+    bit.
+    """
+    if t == 0.5:
+        return np.trace(rho @ x, axis1=-2, axis2=-1).real
     w, v, on = psd_eig(x)
-    lam, v = w[on], v[:, on]
-    return lam, (v.conj() * (rho @ v)).real.sum(axis=0)
+    sizes = on.sum(axis=-1)
+    ks = set(sizes.reshape(-1).tolist())
+    if len(ks) == 1:
+        lam, weights = _support_weights(rho, w, v, ks.pop())
+        return (weights * lam ** (2 * t)).sum(axis=-1)
+    traces = np.zeros(sizes.shape)
+    for k in ks:
+        pick = sizes == k
+        lam, weights = _support_weights(rho[pick], w[pick], v[pick], k)
+        traces[pick] = (weights * lam ** (2 * t)).sum(axis=-1)
+    return traces
 
 
 def _power_traces(rho: np.ndarray, x: np.ndarray, ts) -> list[float]:
@@ -72,15 +104,12 @@ def _power_traces(rho: np.ndarray, x: np.ndarray, ts) -> list[float]:
     power is X itself and the trace Tr[rho X] needs no decomposition.
     """
     if len(ts) == 1:
-        t = ts[0]
-        if t == 0.5:
-            return [float(np.real(np.trace(rho @ x)))]
-        lam, weights = _support_weights(rho, x)
-        return [float((weights * lam ** (2 * t)).sum())]
+        return [float(_power_trace(rho, x, ts[0]))]
     mid = float(np.real(np.trace(rho @ x))) if 0.5 in ts else None
     if ts.count(0.5) == len(ts):
         return [mid] * len(ts)
-    lam, weights = _support_weights(rho, x)
+    w, v, on = psd_eig(x)
+    lam, weights = _support_weights(rho, w, v, np.count_nonzero(on))
     exps = 2 * np.array(ts)
     powers = lam ** exps[:, None]
     for e in _FAST_EXPONENTS:
@@ -89,6 +118,12 @@ def _power_traces(rho: np.ndarray, x: np.ndarray, ts) -> list[float]:
     if mid is not None:
         traces[exps == 1.0] = mid
     return traces.tolist()
+
+
+def _spectral_fidelities(rho: np.ndarray, sigma: np.ndarray, t: float) -> np.ndarray:
+    """F_t at one t of each pair of two trusted (..., d, d) stacks of
+    states, every pair as spectral_fidelity evaluates it alone."""
+    return _power_trace(rho, _mean(rho, sigma, riccati=True)[0], t)
 
 
 def spectral_fidelity_curve(

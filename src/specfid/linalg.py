@@ -12,7 +12,8 @@ again.  `eig` is the one eigenvector call and `spectrum` the one
 eigenvalue-only call.  `psd_eig` is the one place where the PSD check,
 the clip at 0 and the support cutoff meet: every matrix function
 decomposes its matrix there once and assembles its powers from that
-system with `power`.
+system with `power`.  The kernels take a matrix or a stack of them,
+shape (..., d, d), and decide the PSD check and the support per matrix.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .errors import DimensionMismatch, DomainError, NonConvergence, ParamError
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (M + M†)/2 of a square matrix."""
-    return (mat + mat.conj().T) / 2
+    """Return the Hermitian part (M + M†)/2 of each square matrix of a stack."""
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2
 
 
 def as_hermitian(mat: np.ndarray) -> np.ndarray:
@@ -49,13 +50,14 @@ def as_hermitian(mat: np.ndarray) -> np.ndarray:
     return hermitize(mat)
 
 
-def psd_cutoff(mat: np.ndarray) -> float:
-    """Scale-aware tolerance for accepting a matrix as PSD."""
-    return TOL.psd_tol * max(1.0, float(np.abs(mat).max()))
+def psd_cutoff(mat: np.ndarray) -> np.ndarray:
+    """Scale-aware tolerance for accepting each matrix of a stack as PSD."""
+    return TOL.psd_tol * np.abs(mat).max(axis=(-2, -1), initial=1.0)
 
 
-def support_cutoff(eigenvalues: np.ndarray) -> float:
-    """Threshold separating genuine eigenvalues from rounding noise.
+def support_cutoff(eigenvalues: np.ndarray) -> np.ndarray:
+    """Threshold separating genuine eigenvalues from rounding noise, one
+    for each ascending spectrum of a (..., d) stack.
 
     Relative to the largest eigenvalue but floored at unit scale, far
     below the PSD acceptance tolerance: a positive eigenvalue may be
@@ -64,11 +66,12 @@ def support_cutoff(eigenvalues: np.ndarray) -> float:
     matrix that is an exact zero up to rounding resolve to an empty
     support instead of a support made of noise.
     """
-    return TOL.support_rtol * max(float(eigenvalues[-1]), 1.0)
+    return TOL.support_rtol * np.maximum(eigenvalues[..., -1], 1.0)
 
 
 def eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a trusted Hermitian matrix into (w, v); w ascends."""
+    """Eigendecompose a trusted Hermitian matrix, or each matrix of a
+    stack, into (w, v); w ascends."""
     try:
         return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -84,27 +87,33 @@ def spectrum(mat: np.ndarray) -> np.ndarray:
 
 
 def require_psd(w: np.ndarray, mat: np.ndarray) -> None:
-    """Raise DomainError when the ascending spectrum w of mat is not PSD."""
-    if float(w[0]) < -psd_cutoff(mat):
-        raise DomainError(f"matrix is not PSD: min eigenvalue {float(w[0]):.3e}")
+    """Raise DomainError when an ascending spectrum w of a stack mat is not
+    PSD; the message names the first such matrix's least eigenvalue."""
+    low = w[..., 0]
+    bad = low < -psd_cutoff(mat)
+    if np.count_nonzero(bad):
+        raise DomainError(f"matrix is not PSD: min eigenvalue {float(low[bad][0]):.3e}")
 
 
 def psd_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Support-restricted eigensystem (w, v, on) of a trusted PSD matrix.
+    """Support-restricted eigensystem (w, v, on) of a trusted PSD matrix
+    or stack of them.
 
-    Raises DomainError when mat is not PSD, clips the eigenvalues at 0,
-    and marks the support with on = w > support_cutoff(w).
+    Raises DomainError when a matrix is not PSD, clips the eigenvalues at
+    0, and marks each support with on = w > support_cutoff(w).  As w
+    ascends, each support is a suffix of its spectrum.
     """
     w, v = eig(mat)
     require_psd(w, mat)
-    w = np.clip(w, 0.0, None)
-    return w, v, w > support_cutoff(w)
+    np.maximum(w, 0.0, out=w)
+    return w, v, w > support_cutoff(w)[..., None]
 
 
 def power(
     w: np.ndarray, v: np.ndarray, on: np.ndarray, alpha: float, support_only: bool = True
 ) -> np.ndarray:
-    """The power M^alpha assembled from a psd_eig system (w, v, on) of M.
+    """The power M^alpha assembled from a psd_eig system (w, v, on) of M,
+    or of each matrix of a stack.
 
     support_only raises only the support eigenvalues and leaves the rest
     0, so alpha = 0 gives the support projector; otherwise every
@@ -118,7 +127,7 @@ def power(
         raise DomainError("negative power of a singular matrix")
     else:
         fw = w**alpha
-    return hermitize((v * fw) @ v.conj().T)
+    return hermitize((v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def frac_power(mat: np.ndarray, alpha: float, support_only: bool = False) -> np.ndarray:

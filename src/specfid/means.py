@@ -1,7 +1,8 @@
 """Geometric, spectral, and weighted spectral means of positive matrices.
 
 Singular inputs are handled through support-restricted fractional powers
-throughout.
+throughout.  The private kernels take a pair of matrices or a pair of
+(..., d, d) stacks.
 """
 
 from __future__ import annotations
@@ -13,11 +14,18 @@ from .linalg import as_hermitian, hermitize, power, psd_cutoff, psd_eig
 
 
 def _sqrt_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support-restricted M^{1/2} and M^{-1/2} from one decomposition."""
+    """Support-restricted M^{1/2} and M^{-1/2} from one decomposition.
+
+    The roots are those power(..., 0.5) assembles: numpy's ** 0.5 is sqrt.
+    """
     w, v, on = psd_eig(mat)
-    inv_root = np.zeros_like(w)
-    inv_root[on] = 1.0 / np.sqrt(w[on])
-    return power(w, v, on, 0.5), hermitize((v * inv_root) @ v.conj().T)
+    root = np.where(on, np.sqrt(w), 0.0)
+    inv_root = np.divide(1.0, root, out=np.zeros_like(w), where=on)
+    vh = v.conj().swapaxes(-1, -2)
+    return (
+        hermitize((v * root[..., None, :]) @ vh),
+        hermitize((v * inv_root[..., None, :]) @ vh),
+    )
 
 
 def _validated(*mats) -> list[np.ndarray]:
@@ -40,7 +48,7 @@ def _mean(a: np.ndarray, b: np.ndarray, riccati: bool) -> tuple[np.ndarray, np.n
     outer, inner = (a_ihalf, a_half) if riccati else (a_half, a_ihalf)
     quarter = power(*psd_eig(hermitize(inner @ b @ inner)), 0.25)
     m = quarter @ outer
-    return hermitize(m.conj().T @ m), a_half
+    return hermitize(m.conj().swapaxes(-1, -2) @ m), a_half
 
 
 def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:

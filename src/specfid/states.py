@@ -73,6 +73,14 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
+def _bloch_matrix(r: np.ndarray) -> np.ndarray:
+    """(I + r . pauli)/2 of a real 3-vector, unchecked."""
+    mat = np.eye(2, dtype=complex)
+    for ri, pauli in zip(r, _PAULI):
+        mat = mat + ri * pauli
+    return mat / 2
+
+
 def from_bloch(r) -> DensityMatrix:
     """Qubit state (I + r . pauli)/2 from a real 3-vector of length <= 1."""
     r = np.asarray(r, dtype=float)
@@ -80,20 +88,22 @@ def from_bloch(r) -> DensityMatrix:
         raise DimensionMismatch(f"expected a 3-vector, got shape {r.shape}")
     if float(np.linalg.norm(r)) > 1.0 + 1e-12:
         raise NormError(f"vector norm {float(np.linalg.norm(r))!r} exceeds 1")
-    mat = np.eye(2, dtype=complex)
-    for ri, pauli in zip(r, _PAULI):
-        mat = mat + ri * pauli
-    return DensityMatrix(mat / 2)
+    return DensityMatrix(_bloch_matrix(r))
 
 
-def pure_state(psi) -> DensityMatrix:
-    """Rank-one projector onto a nonzero vector, normalized internally."""
+def _projector(psi) -> np.ndarray:
+    """|psi><psi| of a nonzero vector, normalized internally."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(psi))
     if norm <= 1e-150:
         raise ZeroVector("cannot normalize a zero state vector")
     psi = psi / norm
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    return np.outer(psi, psi.conj())
+
+
+def pure_state(psi) -> DensityMatrix:
+    """Rank-one projector onto a nonzero vector, normalized internally."""
+    return DensityMatrix(_projector(psi))
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -106,8 +116,11 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Generator for one trial, split off the suite seed by trial index.
 
     Splitting keys the stream to (seed, trial), so trials are
-    reproducible independently of evaluation order.
+    reproducible independently of evaluation order.  The seed must be a
+    non-negative integer.
     """
+    if seed < 0:
+        raise ParamError(f"seed {seed} must be non-negative")
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
     )
@@ -171,13 +184,19 @@ def pinching(basis_dim: int) -> Channel:
     return Channel(tuple(np.outer(eye[i], eye[i]) for i in range(basis_dim)))
 
 
+def _image(channel: Channel, mats: np.ndarray) -> np.ndarray:
+    """sum_i K_i M K_i† for a matrix, or each matrix of a stack, of the
+    channel's input dim; hermitize it to get what apply returns."""
+    return sum(k @ mats @ k.conj().T for k in channel.kraus)
+
+
 def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
     """Image sum_i K_i rho K_i† of a state under a channel."""
     if channel.dim_in != rho.dim:
         raise DimensionMismatch(
             f"channel input dim {channel.dim_in} vs state dim {rho.dim}"
         )
-    return DensityMatrix._derived(sum(k @ rho.mat @ k.conj().T for k in channel.kraus))
+    return DensityMatrix._derived(_image(channel, rho.mat))
 
 
 def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:

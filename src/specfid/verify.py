@@ -22,6 +22,7 @@ from .config import TOL
 from .errors import ParamError, ToleranceError, UnknownProperty
 from .fidelity import (
     _power_traces,
+    _spectral_fidelities,
     diagonal_spectral_fidelity,
     fvg_bounds,
     matsumoto_fidelity,
@@ -49,6 +50,9 @@ from .serialize import matrix_to_json
 from .states import (
     Channel,
     DensityMatrix,
+    _bloch_matrix,
+    _image,
+    _projector,
     apply,
     from_bloch,
     orthogonal_pair,
@@ -194,13 +198,13 @@ def _dpi_trial_pair(
     delta = 10.0 ** rng.uniform(-4.0, -2.0)
     eye = np.eye(dim) / dim
 
-    def near_classical(qubit: DensityMatrix) -> DensityMatrix:
+    def near_classical(qubit: np.ndarray) -> DensityMatrix:
         block = np.zeros((dim, dim), dtype=complex)
-        block[:2, :2] = qubit.mat
+        block[:2, :2] = DensityMatrix._derived(qubit).mat
         return DensityMatrix._derived((1 - delta) * block + delta * eye)
 
-    rho = near_classical(from_bloch((1.0, 0.0, 0.0)))
-    sigma = near_classical(pure_state((math.sqrt(p), math.sqrt(1.0 - p))))
+    rho = near_classical(_bloch_matrix(np.array((1.0, 0.0, 0.0))))
+    sigma = near_classical(_projector((math.sqrt(p), math.sqrt(1.0 - p))))
     if t > 0.5:
         rho, sigma = sigma, rho
     return rho, sigma
@@ -589,14 +593,42 @@ def _renyi_midpoint_notes(t, peaks) -> tuple[str, ...]:
     )
 
 
+def _dpi_chunk(rngs, dims, trials, t) -> list[list[Candidate]]:
+    """The candidates of a chunk of DPI trials, one list per trial.
+
+    Each trial draws its pair from its own generator; the pairs of one
+    dim are stacked, and F_t before and after pinching comes for the
+    whole stack from one pass through the kernels, equal bit for bit to
+    the trial's own spectral_fidelity calls.
+    """
+    pairs = [
+        _dpi_trial_pair(dim, t, trial % 3, rng)
+        for rng, dim, trial in zip(rngs, dims, trials)
+    ]
+    gaps = [0.0] * len(pairs)
+    for dim in set(dims):
+        picked = [i for i, d in enumerate(dims) if d == dim]
+        rho = np.stack([pairs[i][0].mat for i in picked])
+        sigma = np.stack([pairs[i][1].mat for i in picked])
+        for i, gap in zip(picked, _violation_gaps(rho, sigma, t, pinching(dim))[0]):
+            gaps[i] = gap
+    return [
+        [Candidate(gap, {"t": t, "rho": rho, "sigma": sigma})]
+        for gap, (rho, sigma) in zip(gaps, pairs)
+    ]
+
+
 def _dpi_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho, sigma = _dpi_trial_pair(dim, t, trial % 3, rng)
-    gap, _, _ = _violation_gap(rho, sigma, t, pinching(dim))
-    return [Candidate(gap, {"t": t, "rho": rho, "sigma": sigma})]
+    (candidates,) = _dpi_chunk([rng], [dim], [trial], t)
+    return candidates
+
+
+def _dpi_midpoint_chunk(rngs, dims, trials, t) -> list[list[Candidate]]:
+    # the midpoint suite tests t = 1/2 whatever t the run asks for
+    return _dpi_chunk(rngs, dims, trials, 0.5)
 
 
 def _dpi_midpoint_trial(rng, dim, trial, t) -> list[Candidate]:
-    # the midpoint suite tests t = 1/2 whatever t the run asks for
     return _dpi_trial(rng, dim, trial, 0.5)
 
 
@@ -772,13 +804,34 @@ def _witness_value(value):
     return value
 
 
+# Trial functions with a stacked form chunk(rngs, dims, trials, t), which
+# returns each trial's candidates as the trial function alone would.
+_CHUNKS = {_dpi_trial: _dpi_chunk, _dpi_midpoint_trial: _dpi_midpoint_chunk}
+# Chunks grow 1, 2, 4, ... trials, so a search that stops at its first
+# trials evaluates few beyond them, up to this cap, which bounds the
+# memory of a long stream's stacks.
+_CHUNK_CAP = 256
+
+
 def _candidates(trial_fn, dims: tuple[int, ...], n_samples: int, seed: int, t):
     """(trial, dim, candidate) in trial order; each trial runs on its own
-    generator and the dim its index picks, so it replays alone."""
-    for trial in range(n_samples):
-        dim = dims[trial % len(dims)]
-        for cand in trial_fn(trial_rng(seed, trial), dim, trial, t):
-            yield trial, dim, cand
+    generator and the dim its index picks, so it replays alone.  A trial
+    function with a stacked form runs a chunk of trials at a time."""
+    chunk_fn = _CHUNKS.get(trial_fn)
+    start, size = 0, 1
+    while start < n_samples:
+        trials = range(start, min(start + size, n_samples))
+        # made as the trials draw, so a chunk holds one generator at a time
+        rngs = (trial_rng(seed, trial) for trial in trials)
+        use_dims = [dims[trial % len(dims)] for trial in trials]
+        if chunk_fn is None:
+            chunk = map(trial_fn, rngs, use_dims, trials, [t] * len(trials))
+        else:
+            chunk = chunk_fn(rngs, use_dims, trials, t)
+        for trial, dim, cands in zip(trials, use_dims, chunk):
+            for cand in cands:
+                yield trial, dim, cand
+        start, size = trials.stop, min(2 * size, _CHUNK_CAP)
 
 
 def _run_trials(
@@ -884,7 +937,7 @@ def replay_reference_counterexample() -> DPIWitness:
     rho = DensityMatrix(_REFERENCE_RHO)
     sigma = DensityMatrix(_REFERENCE_SIGMA)
     channel = pinching(2)
-    _, f_before, f_after = _violation_gap(rho, sigma, _REFERENCE_T, channel)
+    _, f_before, f_after = _violation_gaps(rho.mat, sigma.mat, _REFERENCE_T, channel)
     if abs(f_before - _REFERENCE_BEFORE) > 1e-3 or abs(f_after - _REFERENCE_AFTER) > 1e-3:
         raise ToleranceError(
             f"reference values not reproduced: {f_before!r}, {f_after!r}"
@@ -892,12 +945,16 @@ def replay_reference_counterexample() -> DPIWitness:
     return DPIWitness(rho, sigma, _REFERENCE_T, channel, f_before, f_after)
 
 
-def _violation_gap(
-    rho: DensityMatrix, sigma: DensityMatrix, t: float, channel: Channel
-) -> tuple[float, float, float]:
-    before = spectral_fidelity(rho, sigma, t).value
-    after = spectral_fidelity(apply(channel, rho), apply(channel, sigma), t).value
-    return before - after, before, after
+def _violation_gaps(
+    rho: np.ndarray, sigma: np.ndarray, t: float, channel: Channel
+) -> tuple[list, list, list]:
+    """F_t before and after the channel, and the drop, of a pair of states
+    or of each pair of two (..., d, d) stacks, as Python floats."""
+    before = _spectral_fidelities(rho, sigma, t)
+    after = _spectral_fidelities(
+        hermitize(_image(channel, rho)), hermitize(_image(channel, sigma)), t
+    )
+    return (before - after).tolist(), before.tolist(), after.tolist()
 
 
 def _minimize_coherence(
@@ -943,13 +1000,16 @@ def search_dpi_violation(
 
     Walks the dpi_monotone trial stream and returns its first pair whose
     drop exceeds the configured margin, pushed by bisection to the
-    smallest coherence that still violates, or None when the budget is
-    exhausted.  Finding nothing at the midpoint is expected there.
+    smallest coherence that still violates, or None when the budget of
+    n_trials >= 1 trials is exhausted.  Finding nothing at the midpoint is
+    expected there.
     """
     if not 0.0 < t < 1.0:
         raise ParamError(f"parameter t = {t} outside (0, 1)")
     if dim < 2:
         raise ParamError(f"dimension {dim} must be at least 2")
+    if n_trials < 1:
+        raise ParamError(f"n_trials must be positive, got {n_trials}")
     for _, _, cand in _candidates(_dpi_trial, (dim,), n_trials, rng_seed, t):
         if cand.violation > TOL.dpi_margin:
             return _minimize_coherence(

@@ -32,6 +32,7 @@ from specfid import (
     riccati_solution,
     run_suite,
     sandwiched_renyi,
+    search_dpi_violation,
     spectral_fidelity,
     spectral_fidelity_curve,
     support_projector,
@@ -309,6 +310,8 @@ def test_non_finite_parameters_are_rejected(name):
 # Suites whose states are all built from validated states.
 _DERIVED_STATE_SUITES = (
     "classicalization",
+    "dpi_midpoint",
+    "dpi_monotone",
     "multiplicativity",
     "separate_concavity",
     "tensor_stabilization",
@@ -321,3 +324,24 @@ def test_derived_states_are_not_rechecked(monkeypatch, property_id):
     eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     run_suite(property_id, n_samples=3, rng_seed=42)
     assert len(eigvalsh) == 0
+
+
+@pytest.mark.parametrize("n_trials", [0, -4])
+def test_dpi_search_rejects_an_empty_budget(n_trials):
+    # None after zero trials would read as "no violation found".
+    with pytest.raises(ParamError, match="n_trials"):
+        search_dpi_violation(0.5, 2, n_trials)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_suite("riccati", rng_seed=-1),
+        lambda: run_suite("dpi_monotone", rng_seed=-3),
+        lambda: search_dpi_violation(0.8, rng_seed=-1),
+    ],
+    ids=["run_suite", "chunked_suite", "dpi_search"],
+)
+def test_negative_seeds_are_rejected_where_they_enter(run):
+    with pytest.raises(ParamError, match=r"seed -\d must be non-negative"):
+        run()

@@ -284,6 +284,20 @@ def test_tolerance_override(capsys, diag_pair):
         assert name in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "riccati", "--seed", "-1"],
+        ["dpi-search", "--t", "0.8", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_exits_two_naming_the_seed(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--no-timestamp"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed -1 must be non-negative\n"
+
+
 _PAIR = ["--bloch", "0,0,0.5", "--bloch", "0.3,0,0", "--no-timestamp"]
 
 

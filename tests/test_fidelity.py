@@ -23,8 +23,8 @@ from specfid import (
     uhlmann_fidelity,
 )
 from specfid.errors import DimensionMismatch, DomainError, SupportError
-from specfid.fidelity import _power_traces
-from specfid.linalg import frac_power
+from specfid.fidelity import _power_traces, _spectral_fidelities
+from specfid.linalg import frac_power, psd_eig
 from specfid.means import riccati_solution
 
 # Reference qubit pair on which the family drops under pinching at
@@ -318,6 +318,44 @@ def test_single_point_equals_curve_point_exactly():
             for t, value in zip(extended_grid, curve):
                 point = spectral_fidelity(rho, sigma, t, extended=True).value
                 assert point == value, (dim, trial, t)
+
+
+def _masked_support_trace(rho, sigma, t):
+    """F_t of one pair from the support mask, w_k = <v_k|rho|v_k> on v[:, on]."""
+    x = riccati_solution(rho.mat, sigma.mat)
+    if t == 0.5:
+        return float(np.real(np.trace(rho.mat @ x)))
+    w, v, on = psd_eig(x)
+    lam, v = w[on], v[:, on]
+    weights = (v.conj() * (rho.mat @ v)).real.sum(axis=0)
+    return float((weights * lam ** (2 * t)).sum())
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 9])
+def test_stacked_fidelities_equal_per_pair_calls_exactly(dim):
+    # One stack mixes full-rank, rank-deficient and pure pairs, so the
+    # support of X = rho^{-1} # sigma has several sizes within it.  Each
+    # pair's value must be bit for bit the one spectral_fidelity gives it
+    # alone, and that the one of the per-pair support mask: a support of
+    # one vector takes numpy's matrix-vector product there, which weights
+    # computed on the full eigenbasis and masked afterwards miss by an ulp
+    # on some pure pairs.
+    rng = trial_rng(35, dim)
+    ranks = sorted({1, max(1, dim // 2), dim - 1, dim})
+    pairs = [
+        (random_density(dim, ra, rng), random_density(dim, rb, rng))
+        for _ in range(6)
+        for ra in ranks
+        for rb in ranks
+    ]
+    rho = np.stack([r.mat for r, _ in pairs]).reshape(2, -1, dim, dim)
+    sigma = np.stack([s.mat for _, s in pairs]).reshape(2, -1, dim, dim)
+    for t in (0.0, 0.25, 0.5, 0.8, 1.0):
+        stacked = _spectral_fidelities(rho, sigma, t)
+        assert stacked.shape == rho.shape[:2]
+        alone = [spectral_fidelity(r, s, t).value for r, s in pairs]
+        assert stacked.reshape(-1).tolist() == alone, t
+        assert alone == [_masked_support_trace(r, s, t) for r, s in pairs], t
 
 
 def test_curve_midpoint_is_the_uhlmann_trace():

@@ -16,7 +16,7 @@ from specfid import (
     trace_norm,
 )
 from specfid.errors import DimensionMismatch
-from specfid.linalg import eig, psd_cutoff, support_cutoff
+from specfid.linalg import eig, psd_cutoff, psd_eig, support_cutoff
 from specfid.states import trial_rng
 
 
@@ -126,6 +126,19 @@ def test_support_cutoff_keeps_genuine_tiny_eigenvalues():
 def test_psd_cutoff_scales_with_matrix():
     assert psd_cutoff(np.eye(2)) == pytest.approx(1e-10)
     assert psd_cutoff(100.0 * np.eye(2)) == pytest.approx(1e-8)
+
+
+def test_stacked_cutoffs_are_per_matrix():
+    # A stack decides the PSD check and the support of each matrix with
+    # that matrix's own scale, and names the first matrix that fails.
+    stack = np.stack([np.diag([1e-12, 100.0]), np.diag([-2e-9, 1.0]),
+                      np.diag([-3e-9, 1.0])]).astype(complex)
+    assert psd_cutoff(stack).tolist() == pytest.approx([1e-8, 1e-10, 1e-10])
+    with pytest.raises(DomainError, match="min eigenvalue -2.000e-09"):
+        psd_eig(stack)
+    w, _, on = psd_eig(stack[:1])
+    assert support_cutoff(w).tolist() == pytest.approx([1e-11])
+    assert on.tolist() == [[False, True]]
 
 
 def test_trace_norm_signed_spectrum():

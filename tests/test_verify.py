@@ -30,9 +30,12 @@ from specfid import (
     trial_rng,
 )
 from specfid.verify import (
+    _CHUNK_CAP,
     _REFERENCE_RHO,
     _REFERENCE_SIGMA,
     _REGISTRY,
+    _candidates,
+    _dpi_trial,
     _minimize_coherence,
 )
 
@@ -225,8 +228,12 @@ def test_search_validation():
         search_dpi_violation(1.0)
     with pytest.raises(ParamError):
         search_dpi_violation(0.8, dim=1)
-    # An exhausted budget is not an error, just an empty result.
-    assert search_dpi_violation(0.8, n_trials=0) is None
+    # An exhausted budget is an empty result, but an empty budget is an error:
+    # None after zero trials would read as "no violation".
+    assert search_dpi_violation(0.8, n_trials=1, rng_seed=3) is None
+    for n_trials in (0, -4):
+        with pytest.raises(ParamError):
+            search_dpi_violation(0.5, 2, n_trials)
 
 
 @pytest.mark.parametrize("t, dim, seed", [(0.2, 3, 5), (0.8, 2, 42)])
@@ -246,6 +253,23 @@ def test_search_bisects_the_first_violating_trial_of_the_suite(monkeypatch, t, d
             break
     assert np.array_equal(rho.mat, cand.fields["rho"].mat)
     assert np.array_equal(sigma.mat, cand.fields["sigma"].mat)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5])
+def test_chunked_dpi_stream_equals_its_trials_one_by_one(t):
+    # The stream crosses the chunk cap with three dims interleaved, so
+    # every chunk stacks pairs of several dims; each candidate must be
+    # the one its trial gives alone, bit for bit.
+    dims, seed, n = (2, 3, 5), 8, _CHUNK_CAP + 50
+    stream = list(_candidates(_dpi_trial, dims, n, seed, t))
+    assert [(trial, dim) for trial, dim, _ in stream] == [
+        (k, dims[k % 3]) for k in range(n)
+    ]
+    for trial, dim, cand in stream:
+        (alone,) = _dpi_trial(trial_rng(seed, trial), dim, trial, t)
+        assert cand.violation == alone.violation, trial
+        assert np.array_equal(cand.fields["rho"].mat, alone.fields["rho"].mat)
+        assert np.array_equal(cand.fields["sigma"].mat, alone.fields["sigma"].mat)
 
 
 def _count_calls(monkeypatch, name: str) -> list:

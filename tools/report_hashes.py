@@ -64,6 +64,8 @@ CLI_RUNS = [
     _DPI + ["--t", "0.8"],
     _DPI + ["--t", "0.8", "--dims", "3"],
     _DPI + ["--t", "0.5", "--samples", "2000"],
+    _DPI + ["--t", "0.5", "--dims", "3", "--samples", "1000"],
+    ["verify", "dpi_midpoint", "--no-timestamp", "--dims", "2,3,5", "--samples", "600"],
     ["fidelity", "--no-timestamp", *_PAIR, "--all", "--alpha", "2", "--alpha", "0.5"],
     ["fidelity", "--no-timestamp", "--bloch", "0,0,1", "--bloch", "0.3,0.1,0.2"],
     ["fidelity", "--no-timestamp", "--bloch", "0.3,0.1,0.2", "--bloch", "0,0,1"],
