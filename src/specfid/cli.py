@@ -103,8 +103,27 @@ def _setting(ns: argparse.Namespace, config: dict, key: str, default):
     return value
 
 
+# The JSON values a config file may give each setting (type(True) is bool).
+_CONFIG_VALUES = {
+    "seed": lambda v: type(v) is int,
+    "samples": lambda v: type(v) in (int, type(None)),
+    "dims": lambda v: type(v) in (str, type(None))
+    or type(v) is list and all(type(d) is int for d in v),
+    "t": lambda v: type(v) in (int, float, type(None)),
+    "format": lambda v: type(v) is str,
+    "output": lambda v: type(v) in (str, type(None)),
+    "no_timestamp": lambda v: type(v) is bool,
+    "alpha": lambda v: type(v) is list and all(type(a) in (int, float) for a in v),
+    "tol_overrides": lambda v: type(v) is dict
+    and all(type(a) in (int, float) for a in v.values()),
+}
+
+
 def _resolve(ns: argparse.Namespace, config: dict) -> RunConfig:
     """Merge flags over config-file values over defaults."""
+    for key, valid in _CONFIG_VALUES.items():
+        if key in config and not valid(config[key]):
+            raise ParamError(f"config {key!r} has the wrong type: {config[key]!r}")
     dims = _setting(ns, config, "dims", None)
     alpha = _setting(ns, config, "alpha", None)
     overrides = list(config.get("tol_overrides", {}).items())
@@ -112,13 +131,13 @@ def _resolve(ns: argparse.Namespace, config: dict) -> RunConfig:
     t = _setting(ns, config, "t", None)
     return RunConfig(
         command=ns.command,
-        seed=int(_setting(ns, config, "seed", 42)),
+        seed=_setting(ns, config, "seed", 42),
         samples=_setting(ns, config, "samples", None),
         dims=_parse_ints(dims) if dims is not None else None,
         t=None if t is None else float(t),
-        fmt=str(_setting(ns, config, "format", "json")),
+        fmt=_setting(ns, config, "format", "json"),
         output=_setting(ns, config, "output", None),
-        no_timestamp=bool(_setting(ns, config, "no_timestamp", False)),
+        no_timestamp=_setting(ns, config, "no_timestamp", False),
         alpha=tuple(float(a) for a in alpha) if alpha is not None else (),
         tol_overrides=tuple(
             (name, float(value)) for name, value in overrides
@@ -346,10 +365,11 @@ def _cmd_fvg(ns: argparse.Namespace, cfg: RunConfig) -> int:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, help="suite seed (default 42)")
-    sub.add_argument("--samples", type=int, help="sample-count override")
-    sub.add_argument("--dims", help="comma-separated dimension list")
+def _add_common(sub: argparse.ArgumentParser, sampling: bool = False) -> None:
+    if sampling:  # only the seeded commands read these
+        sub.add_argument("--seed", type=int, help="suite seed (default 42)")
+        sub.add_argument("--samples", type=int, help="sample-count override")
+        sub.add_argument("--dims", help="comma-separated dimension list")
     sub.add_argument("--tol-override", action="append", type=_parse_override,
                      metavar="NAME=VALUE", help="set one tolerance by name")
     sub.add_argument("--format", choices=("json", "csv"), help="output format")
@@ -394,12 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="property ids (comma- or space-separated); empty or 'all' runs every suite")
     ver.add_argument("--all", action="store_true", help="run every registered suite")
     ver.add_argument("--t", type=float, help="parameter for t-indexed suites")
-    _add_common(ver)
+    _add_common(ver, sampling=True)
     ver.set_defaults(func=_cmd_verify)
 
     search = subs.add_parser("dpi-search", help="seeded search for a DPI violation")
     search.add_argument("--t", type=float, help="weight parameter (required)")
-    _add_common(search)
+    _add_common(search, sampling=True)
     search.set_defaults(func=_cmd_dpi_search)
 
     replay = subs.add_parser("dpi-replay",

@@ -47,83 +47,63 @@ def _check_pair(rho: DensityMatrix, sigma: DensityMatrix) -> None:
         raise DimensionMismatch(f"state dims differ: {rho.dim} vs {sigma.dim}")
 
 
-# Exponents at which numpy's scalar `lam ** e` takes its reciprocal, sqrt
-# and square fast paths; a broadcast power can differ there by one ulp.
-_FAST_EXPONENTS = (-1.0, 0.5, 2.0)
+# The t at which 2t = -1, 0.5 or 2: there numpy's scalar `lam ** e` takes
+# its reciprocal, sqrt and square paths, which a broadcast power can miss
+# by one ulp.
+_FAST_TS = (-0.5, 0.25, 1.0)
 
 
-def _support_weights(rho: np.ndarray, w: np.ndarray, v: np.ndarray, k):
-    """The support eigenvalues lam of X and w_k = <v_k|rho|v_k>, from a
-    psd_eig system (w, v) of X, for a pair or a stack of pairs whose
-    supports all have k vectors.
-
-    The support of an ascending spectrum is its last k entries, so it is
-    one slice v[..., d-k:], and rho @ v_k has the shape it has for a pair
-    alone: at k = 1 a matrix-vector product, whose rounding is not that
-    of the matrix product on the full v.
-    """
+def _support_traces(rho, w, v, k, exps, ts) -> np.ndarray:
+    """sum_k w_k lam_k^e, w_k = <v_k|rho|v_k>, for each exponent e of the
+    column exps, from psd_eig systems (w, v) whose supports all have k
+    vectors.  A support is the last k eigenvectors, so rho @ v_k has the
+    shape it has for a pair alone: at k = 1 a matrix-vector product, whose
+    rounding is not that of the matrix product on the full v."""
     d = w.shape[-1]
     vk = np.ascontiguousarray(v[..., d - k:])
-    return w[..., d - k:], (vk.conj() * (rho @ vk)).real.sum(axis=-2)
+    weights = (vk.conj() * (rho @ vk)).real.sum(axis=-2)
+    lam = w[..., None, d - k:]
+    powers = lam ** exps
+    for t in _FAST_TS:
+        if t in ts:
+            np.copyto(powers, lam ** (2 * t), where=exps == 2 * t)
+    return (weights[..., None, :] * powers).sum(axis=-1)
 
 
-def _power_trace(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-    """Tr[rho X^(2t)] at one t for a pair or each pair of two stacks, the
-    power restricted to the support of X; at t = 1/2 it is Tr[rho X].
-
-    A stack is split into groups of equal support size, each group
-    evaluated as one stack, so every pair gets its value alone bit for
-    bit.
-    """
-    if t == 0.5:
-        return np.trace(rho @ x, axis1=-2, axis2=-1).real
+def _power_traces(rho: np.ndarray, x: np.ndarray, ts) -> np.ndarray:
+    """Tr[rho X^(2t)] = sum_k w_k lam_k^(2t) over the support of X, for each
+    t of a list or tuple and a pair or each pair of two (..., d, d) stacks:
+    shape (..., len(ts)).  The powers are one broadcast, but the rows at
+    the fast exponents keep the scalar power, so no value depends on the
+    grid around it; t = 1/2 is Tr[rho X], read off without a decomposition.
+    A stack is evaluated in groups of equal support size, so each pair
+    gets the value it gets alone, bit for bit."""
+    half = ts.count(0.5)
+    if half:
+        mid = np.trace(rho @ x, axis1=-2, axis2=-1).real[..., None]
+        if half == len(ts):
+            return mid.repeat(half, axis=-1)
     w, v, on = psd_eig(x)
+    exps = 2.0 * np.array(ts)[:, None]
     sizes = on.sum(axis=-1)
     ks = set(sizes.reshape(-1).tolist())
     if len(ks) == 1:
-        lam, weights = _support_weights(rho, w, v, ks.pop())
-        return (weights * lam ** (2 * t)).sum(axis=-1)
-    traces = np.zeros(sizes.shape)
-    for k in ks:
-        pick = sizes == k
-        lam, weights = _support_weights(rho[pick], w[pick], v[pick], k)
-        traces[pick] = (weights * lam ** (2 * t)).sum(axis=-1)
+        traces = _support_traces(rho, w, v, ks.pop(), exps, ts)
+    else:
+        rho = np.broadcast_to(rho, x.shape)
+        traces = np.empty(sizes.shape + (len(ts),))
+        for k in ks:
+            pick = sizes == k
+            traces[pick] = _support_traces(rho[pick], w[pick], v[pick], k, exps, ts)
+    if half:
+        np.copyto(traces, mid, where=exps[:, 0] == 1.0)
     return traces
 
 
-def _power_traces(rho: np.ndarray, x: np.ndarray, ts) -> list[float]:
-    """Tr[rho X^(2t)] for every t of a list or tuple, the power restricted
-    to the support of X.
-
-    One decomposition X = sum_k lam_k |v_k><v_k| serves the whole grid:
-    the trace is sum_k w_k lam_k^(2t) over the support, with weights
-    w_k = <v_k|rho|v_k>.  A one-point grid takes the scalar lam ** (2t);
-    a longer one takes one broadcast lam ** (2t)[:, None], except at the
-    fast exponents, whose rows keep the scalar power, so a one-point
-    grid reproduces any point of a longer one exactly.  At t = 1/2 the
-    power is X itself and the trace Tr[rho X] needs no decomposition.
-    """
-    if len(ts) == 1:
-        return [float(_power_trace(rho, x, ts[0]))]
-    mid = float(np.real(np.trace(rho @ x))) if 0.5 in ts else None
-    if ts.count(0.5) == len(ts):
-        return [mid] * len(ts)
-    w, v, on = psd_eig(x)
-    lam, weights = _support_weights(rho, w, v, np.count_nonzero(on))
-    exps = 2 * np.array(ts)
-    powers = lam ** exps[:, None]
-    for e in _FAST_EXPONENTS:
-        powers[exps == e] = lam ** e
-    traces = (weights * powers).sum(axis=1)
-    if mid is not None:
-        traces[exps == 1.0] = mid
-    return traces.tolist()
-
-
-def _spectral_fidelities(rho: np.ndarray, sigma: np.ndarray, t: float) -> np.ndarray:
-    """F_t at one t of each pair of two trusted (..., d, d) stacks of
-    states, every pair as spectral_fidelity evaluates it alone."""
-    return _power_trace(rho, _mean(rho, sigma, riccati=True)[0], t)
+def _spectral_fidelities(rho: np.ndarray, sigma: np.ndarray, ts) -> np.ndarray:
+    """F_t at each t of a list or tuple, shape (..., len(ts)), for a pair of
+    trusted states or each pair of two stacks, as _power_traces gives it."""
+    return _power_traces(rho, _mean(rho, sigma, riccati=True)[0], ts)
 
 
 def spectral_fidelity_curve(
@@ -132,11 +112,10 @@ def spectral_fidelity_curve(
     """F_t(rho, sigma) at every t of a grid from one Riccati solve.
 
     With X = rho^{-1} # sigma = sum_k lam_k |v_k><v_k| the family is
-    F_t = sum_k w_k lam_k^(2t), w_k = <v_k|rho|v_k> >= 0, summed over the
-    support of X; a grid of any length therefore costs one Riccati
-    solution and one eigendecomposition, and t = 1/2 is read off as
-    Tr[rho X] without one.  Parameters follow spectral_fidelity, which
-    is this curve at a single point.
+    F_t = sum_k w_k lam_k^(2t), w_k = <v_k|rho|v_k> >= 0, over the support
+    of X, so a grid of any length costs one eigendecomposition, and
+    t = 1/2, read off as Tr[rho X], none.  Parameters follow
+    spectral_fidelity, which is this curve at a single point.
     """
     _check_pair(rho, sigma)
     ts = [float(t) for t in ts]
@@ -145,7 +124,7 @@ def spectral_fidelity_curve(
             raise ParamError(f"parameter t = {t} is not finite")
         if not extended and not 0.0 <= t <= 1.0:
             raise ParamError(f"parameter t = {t} outside [0, 1]")
-    return _power_traces(rho.mat, _mean(rho.mat, sigma.mat, riccati=True)[0], ts)
+    return _spectral_fidelities(rho.mat, sigma.mat, ts).tolist()
 
 
 def spectral_fidelity(

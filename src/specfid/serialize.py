@@ -94,6 +94,8 @@ def state_to_json(rho: DensityMatrix) -> dict:
 
 def state_from_json(record: dict) -> DensityMatrix:
     """Parse and validate a density-matrix record."""
+    if not isinstance(record, dict):
+        raise DomainError(f"state record is a {type(record).__name__}, not a JSON object")
     kind = record.get("type", "density")
     if kind != "density":
         raise NormalizationError(f"expected a density record, got type {kind!r}")

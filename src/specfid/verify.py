@@ -456,9 +456,8 @@ def _variational_dominance_trial(rng, dim, trial, t) -> list[Candidate]:
         return [Candidate(1.0, {"rho": rho, "sigma": sigma}, (1.0,))]
     root = frac_power(x_star, 0.5)
     targets = spectral_fidelity_curve(rho, sigma, t_grid)
-    candidates = []
-    kept = 0
-    while kept < 200:
+    feasible = []
+    while len(feasible) < 200:
         # shrink the maximizer inside its own frame; a shrink is not
         # automatically feasible, so each candidate must pass the
         # block test, with a scalar shrink (feasible by construction,
@@ -470,13 +469,12 @@ def _variational_dominance_trial(rng, dim, trial, t) -> list[Candidate]:
             cand = hermitize(float(rng.uniform(0.0, 1.0)) * x_star)
             if not block_psd(inv_rho, cand, sigma.mat):
                 continue
-        kept += 1
-        values = _power_traces(rho.mat, cand, t_grid)
-        candidates.extend(
-            Candidate(value - target, {"t": tg, "rho": rho, "sigma": sigma})
-            for tg, value, target in zip(t_grid, values, targets)
-        )
-    return candidates
+        feasible.append(cand)
+    return [
+        Candidate(value - target, {"t": tg, "rho": rho, "sigma": sigma})
+        for values in _power_traces(rho.mat, np.array(feasible), t_grid).tolist()
+        for tg, value, target in zip(t_grid, values, targets)
+    ]
 
 
 def _variational_dominance_notes(t, peaks) -> tuple[str, ...]:
@@ -949,11 +947,11 @@ def _violation_gaps(
     rho: np.ndarray, sigma: np.ndarray, t: float, channel: Channel
 ) -> tuple[list, list, list]:
     """F_t before and after the channel, and the drop, of a pair of states
-    or of each pair of two (..., d, d) stacks, as Python floats."""
-    before = _spectral_fidelities(rho, sigma, t)
-    after = _spectral_fidelities(
-        hermitize(_image(channel, rho)), hermitize(_image(channel, sigma)), t
-    )
+    or of each pair of two (..., d, d) stacks, as Python floats; the pairs
+    and their images go through the kernel as one stack."""
+    rhos = np.stack([rho, hermitize(_image(channel, rho))])
+    sigmas = np.stack([sigma, hermitize(_image(channel, sigma))])
+    before, after = _spectral_fidelities(rhos, sigmas, [t])[..., 0]
     return (before - after).tolist(), before.tolist(), after.tolist()
 
 

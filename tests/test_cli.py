@@ -476,11 +476,59 @@ def test_bad_bloch_vector(capsys):
     assert code == 2
 
 
-def test_bad_samples_value(capsys, diag_pair):
-    a, b = diag_pair
-    code, _, err = _run(capsys, ["fidelity", a, b, "--samples", "0"])
+def test_bad_samples_value(capsys):
+    code, _, err = _run(capsys, ["verify", "endpoints", "--samples", "0"])
     assert code == 2
     assert "samples" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["fidelity", *_PAIR], ["sweep", *_PAIR], ["fvg", *_PAIR], ["dpi-replay"]]
+)
+@pytest.mark.parametrize("flag", ["--seed", "--samples", "--dims"])
+def test_sampling_flags_only_on_seeded_commands(capsys, command, flag):
+    # fidelity, sweep, fvg and dpi-replay draw nothing, so a sampling
+    # flag there is an unknown option, not a setting that does nothing.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "state, config",
+    [
+        ([1, 2], None),
+        (None, {"tol_overrides": [["psd_tol", 1e-9]]}),
+        (None, {"tol_overrides": {"psd_tol": None}}),
+        (None, {"seed": None}),
+        (None, {"seed": True}),
+        (None, {"samples": "5"}),
+        (None, {"dims": [2, None]}),
+        (None, {"t": [0.3]}),
+        (None, {"alpha": 2}),
+        (None, {"no_timestamp": "yes"}),
+        (None, {"output": 5}),
+    ],
+    ids=["state_list", "tol_overrides_pairs", "tol_override_null", "seed_null",
+         "seed_bool", "samples_str", "dims_null_entry", "t_list", "alpha_number",
+         "no_timestamp_str", "output_number"],
+)
+def test_malformed_input_exits_two_without_a_traceback(capsys, tmp_path, state, config):
+    # Exit 1 means an unexpected verdict; input the CLI cannot read is
+    # rejected where it enters, with exit 2 and one error line.
+    argv = ["verify", "endpoints", "--samples", "2", "--no-timestamp"]
+    if state is not None:
+        (tmp_path / "state.json").write_text(json.dumps(state))
+        argv = ["fidelity", str(tmp_path / "state.json"), "--bloch", "0,0,1"]
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "run.json")]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_runconfig_validation():

@@ -350,12 +350,42 @@ def test_stacked_fidelities_equal_per_pair_calls_exactly(dim):
     ]
     rho = np.stack([r.mat for r, _ in pairs]).reshape(2, -1, dim, dim)
     sigma = np.stack([s.mat for _, s in pairs]).reshape(2, -1, dim, dim)
-    for t in (0.0, 0.25, 0.5, 0.8, 1.0):
-        stacked = _spectral_fidelities(rho, sigma, t)
-        assert stacked.shape == rho.shape[:2]
-        alone = [spectral_fidelity(r, s, t).value for r, s in pairs]
-        assert stacked.reshape(-1).tolist() == alone, t
-        assert alone == [_masked_support_trace(r, s, t) for r, s in pairs], t
+    ts = (0, 0.25, 0.5, 0.8, 1)
+    stacked = _spectral_fidelities(rho, sigma, ts)
+    assert stacked.shape == (*rho.shape[:2], len(ts))
+    alone = [[spectral_fidelity(r, s, t).value for t in ts] for r, s in pairs]
+    assert stacked.reshape(-1, len(ts)).tolist() == alone
+    assert alone == [[_masked_support_trace(r, s, t) for t in ts] for r, s in pairs]
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_power_traces_of_a_stack_equal_the_scalar_power_per_point(dim):
+    # One call on a stack of X over an extended grid: each value equals
+    # the one-point spectral_fidelity of its pair and the support-mask
+    # formula with the scalar lam ** (2t).  The grid holds the fast
+    # exponents 2t = -1, 0.5 and 2, where only the scalar power takes
+    # numpy's reciprocal, sqrt and square paths, and t = 1/2, read off
+    # as Tr[rho X].
+    rng = trial_rng(36, dim)
+    pairs = [
+        (random_density(dim, 1 + trial % dim, rng), random_density(dim, dim, rng))
+        for trial in range(24)
+    ]
+    rho = np.stack([r.mat for r, _ in pairs])
+    x = np.stack([riccati_solution(r.mat, s.mat) for r, s in pairs])
+    grid = (-0.5, -0.25, 0.0, 0.25, 0.3, 0.5, 1.0, 1.5)
+    traces = _power_traces(rho, x, grid)
+    assert traces.shape == (len(pairs), len(grid))
+    for (r, s), row in zip(pairs, traces.tolist()):
+        assert row == [spectral_fidelity(r, s, t, extended=True).value for t in grid]
+        assert row == [_masked_support_trace(r, s, t) for t in grid]
+    # One rho against a stack of X with supports of every size, as the
+    # variational suite evaluates its candidates.
+    r = random_density(dim, dim, rng)
+    sigmas = [random_density(dim, 1 + trial % dim, rng) for trial in range(8)]
+    x = np.stack([riccati_solution(r.mat, s.mat) for s in sigmas])
+    for s, row in zip(sigmas, _power_traces(r.mat, x, grid).tolist()):
+        assert row == [spectral_fidelity(r, s, t, extended=True).value for t in grid]
 
 
 def test_curve_midpoint_is_the_uhlmann_trace():
@@ -383,4 +413,5 @@ def test_power_traces_rejects_non_psd_x():
     with pytest.raises(DomainError):
         _power_traces(rho, x, [0.3])
     # t = 1/2 needs no decomposition, so no check runs there.
-    assert _power_traces(rho, x, [0.5]) == [pytest.approx(0.45)]
+    assert _power_traces(rho, x, [0.5]).tolist() == [pytest.approx(0.45)]
+    assert _power_traces(rho, x, [0.5, 0.5]).tolist() == [pytest.approx(0.45)] * 2

@@ -8,10 +8,11 @@ Each line is `sha256-prefix bytes rc label`.  The CLI outputs are made
 by running `specfid.cli.main` in-process with `--no-timestamp`; the last
 lines hash in-process sweeps of every suite across seeds, sample
 counts, dims lists and t values, of `search_dpi_violation`, of the
-public matrix functions on seeded pairs, and of the states the public
-state builders return.  Run it on two checkouts and
-compare the lines: hashes depend on the numpy and BLAS build, so they
-are compared between commits on one machine, never pinned.
+public matrix functions on seeded pairs, of the states the public
+state builders return, and of one-point fidelities.  Run it on two
+checkouts and compare the lines: hashes depend on the numpy and BLAS
+build, so they are compared between commits on one machine, never
+pinned.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from specfid import (
     run_suite,
     sandwiched_renyi,
     search_dpi_violation,
+    spectral_fidelity,
     spectral_fidelity_curve,
     support_projector,
     tensor,
@@ -164,6 +166,23 @@ def function_sweep() -> bytes:
     return "\n".join(parts).encode()
 
 
+def point_sweep() -> bytes:
+    """One-point spectral_fidelity on seeded pairs of every rank at d = 2..4,
+    at t = -0.5, 0.25 and 1 (2t = -1, 0.5, 2, numpy's scalar fast paths)
+    and at t = 1/2, which is read off as Tr[rho X]."""
+    rng = np.random.default_rng(2026)
+    parts = []
+    for dim in (2, 3, 4):
+        for rank_a, rank_b in itertools.product(range(1, dim + 1), repeat=2):
+            rho = random_density(dim, rank_a, rng)
+            sigma = random_density(dim, rank_b, rng)
+            parts.extend(
+                _outcome(lambda t=t: spectral_fidelity(rho, sigma, t, extended=t < 0))
+                for t in (-0.5, 0.25, 0.5, 1.0)
+            )
+    return "\n".join(parts).encode()
+
+
 def state_sweep() -> bytes:
     """Matrix bytes and rank of each state the public builders return."""
     rng = np.random.default_rng(2025)
@@ -184,6 +203,7 @@ def main_() -> None:
     print(_line("search_dpi_violation runs", dpi_sweep(), 0), flush=True)
     print(_line("public matrix functions", function_sweep(), 0), flush=True)
     print(_line("public state builders", state_sweep(), 0), flush=True)
+    print(_line("one-point spectral_fidelity", point_sweep(), 0), flush=True)
 
 
 if __name__ == "__main__":
