@@ -121,6 +121,9 @@ _CONFIG_VALUES = {
 
 def _resolve(ns: argparse.Namespace, config: dict) -> RunConfig:
     """Merge flags over config-file values over defaults."""
+    unknown = sorted(set(config) - set(_CONFIG_VALUES))
+    if unknown:
+        raise ParamError(f"unknown config key {unknown[0]!r}; known: {', '.join(_CONFIG_VALUES)}")
     for key, valid in _CONFIG_VALUES.items():
         if key in config and not valid(config[key]):
             raise ParamError(f"config {key!r} has the wrong type: {config[key]!r}")

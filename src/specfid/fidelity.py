@@ -20,7 +20,7 @@ from .errors import (
     ParamError,
     SupportError,
 )
-from .linalg import hermitize, power, psd_cutoff, psd_eig, trace_norm
+from .linalg import hermitize, power, psd_cutoff, psd_eig, real_trace, trace_norm
 from .means import _mean
 from .states import DensityMatrix
 
@@ -80,7 +80,7 @@ def _power_traces(rho: np.ndarray, x: np.ndarray, ts) -> np.ndarray:
     gets the value it gets alone, bit for bit."""
     half = ts.count(0.5)
     if half:
-        mid = np.trace(rho @ x, axis1=-2, axis2=-1).real[..., None]
+        mid = real_trace(rho @ x)[..., None]
         if half == len(ts):
             return mid.repeat(half, axis=-1)
     w, v, on = psd_eig(x)
@@ -142,20 +142,37 @@ def spectral_fidelity(
     return FidelityValue(value, t=float(t))
 
 
+def _sandwich_traces(system, b: np.ndarray, s: float, alpha: float) -> np.ndarray:
+    """Tr[(A^s B A^s)^alpha], powers on supports, from the psd_eig system of
+    a trusted A and a trusted B, or of each pair of two stacks."""
+    a_s = power(*system, s)
+    return real_trace(power(*psd_eig(hermitize(a_s @ b @ a_s)), alpha))
+
+
+def _uhlmann(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Tr sqrt(rho^{1/2} sigma rho^{1/2}) of a trusted pair or of each pair
+    of two stacks."""
+    return _sandwich_traces(psd_eig(rho), sigma, 0.5, 0.5)
+
+
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> FidelityValue:
     """Root fidelity Tr sqrt(rho^{1/2} sigma rho^{1/2})."""
     _check_pair(rho, sigma)
-    r_half = power(*psd_eig(rho.mat), 0.5)
-    inner = hermitize(r_half @ sigma.mat @ r_half)
-    value = float(np.real(np.trace(power(*psd_eig(inner), 0.5))))
-    return FidelityValue(value, method="uhlmann")
+    return FidelityValue(float(_uhlmann(rho.mat, sigma.mat)), method="uhlmann")
 
 
 def matsumoto_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> FidelityValue:
     """Trace of the matrix geometric mean of the two states."""
     _check_pair(rho, sigma)
-    value = float(np.real(np.trace(_mean(rho.mat, sigma.mat, riccati=False)[0])))
+    value = float(real_trace(_mean(rho.mat, sigma.mat, riccati=False)[0]))
     return FidelityValue(value, method="matsumoto")
+
+
+def _renyi(trace: float, alpha: float) -> float:
+    """The divergence of order alpha from its power trace Tr[(...)^alpha]."""
+    if trace <= 0.0:
+        return math.inf
+    return math.log(trace) / (alpha - 1.0)
 
 
 def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
@@ -177,12 +194,7 @@ def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> 
                 f"support containment fails for alpha > 1: leakage {leak:.3e}"
             )
     s = (1.0 - alpha) / (2.0 * alpha)
-    sig_s = power(*sigma_eig, s)
-    inner = hermitize(sig_s @ rho.mat @ sig_s)
-    tr = float(np.real(np.trace(power(*psd_eig(inner), alpha))))
-    if tr <= 0.0:
-        return math.inf
-    return math.log(tr) / (alpha - 1.0)
+    return _renyi(float(_sandwich_traces(sigma_eig, rho.mat, s, alpha)), alpha)
 
 
 def diagonal_spectral_fidelity(p, q, t: float) -> FidelityValue:

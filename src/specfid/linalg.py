@@ -147,9 +147,19 @@ def frac_power(mat: np.ndarray, alpha: float, support_only: bool = False) -> np.
     return power(*psd_eig(mat), alpha, support_only)
 
 
+def real_trace(mat: np.ndarray) -> np.ndarray:
+    """Real part of the trace of a matrix, or of each matrix of a stack."""
+    return np.trace(mat, axis1=-2, axis2=-1).real
+
+
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of the absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(spectrum(as_hermitian(mat))).sum())
+    return float(_trace_norm(as_hermitian(mat)))
+
+
+def _trace_norm(mat: np.ndarray) -> np.ndarray:
+    """trace_norm of a trusted Hermitian matrix or of each matrix of a stack."""
+    return np.abs(spectrum(mat)).sum(axis=-1)
 
 
 def support_projector(mat: np.ndarray) -> np.ndarray:
@@ -159,11 +169,11 @@ def support_projector(mat: np.ndarray) -> np.ndarray:
 
 def is_psd(mat: np.ndarray) -> bool:
     """Whether all eigenvalues sit above minus the PSD cutoff."""
-    return _is_psd(as_hermitian(mat))
+    return bool(_is_psd(as_hermitian(mat)))
 
 
-def _is_psd(mat: np.ndarray) -> bool:
-    return bool(spectrum(mat)[0] >= -psd_cutoff(mat))
+def _is_psd(mat: np.ndarray) -> np.ndarray:
+    return spectrum(mat)[..., 0] >= -psd_cutoff(mat)
 
 
 def block_psd(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> bool:
@@ -177,4 +187,9 @@ def block_psd(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> bool:
         )
     if not np.all(np.isfinite(a12)):
         raise DomainError("off-diagonal block has non-finite entries")
-    return _is_psd(np.block([[a11, a12], [a12.conj().T, a22]]))
+    return bool(_block_psd(a11, a12, a22))
+
+
+def _block_psd(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
+    """block_psd of trusted blocks, or of each block triple of three stacks."""
+    return _is_psd(np.block([[a11, a12], [a12.conj().swapaxes(-1, -2), a22]]))

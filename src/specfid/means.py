@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ParamError
-from .linalg import as_hermitian, hermitize, power, psd_cutoff, psd_eig
+from .linalg import as_hermitian, hermitize, power, psd_cutoff, psd_eig, real_trace
 
 
 def _sqrt_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,19 +73,18 @@ def riccati_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _mean(*_validated(a, b), riccati=True)[0]
 
 
-def _spectral_means(a: np.ndarray, b: np.ndarray, ts) -> list[np.ndarray]:
-    """X^t A X^t for every t of a grid of a trusted pair.
+def _spectral_means(a: np.ndarray, b: np.ndarray, ts) -> np.ndarray:
+    """X^t A X^t for every t of a grid, shape (..., len(ts), d, d), for a
+    trusted pair or each pair of two stacks.
 
     One Riccati solve and one decomposition of X serve the whole grid;
     X^1 is X itself and needs no decomposition.
     """
     x, a_half = _mean(a, b, riccati=True)
     system = psd_eig(x) if any(t != 1 for t in ts) else None
-    means = []
-    for t in ts:
-        m = a_half @ (x if t == 1 else power(*system, float(t)))
-        means.append(hermitize(m.conj().T @ m))
-    return means
+    powers = [x if t == 1 else power(*system, float(t)) for t in ts]
+    m = a_half[..., None, :, :] @ np.stack(powers, axis=-3)
+    return hermitize(m.conj().swapaxes(-1, -2) @ m)
 
 
 def weighted_spectral_mean(
@@ -114,10 +113,13 @@ def variational_objective(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     solution of the pair, with minimum value twice the trace of the
     spectral mean.
     """
-    a, b, x = _validated(a, b, x)
+    return float(_variational_objective(*_validated(a, b, x)))
+
+
+def _variational_objective(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """variational_objective of trusted matrices, or of each triple of stacks."""
     w, v, on = psd_eig(x)
-    if float(w[0]) <= psd_cutoff(x):
+    if np.any(w[..., 0] <= psd_cutoff(x)):
         raise DomainError("objective needs a strictly positive X")
     x_inv = power(w, v, on, -1.0, support_only=False)
-    return float(np.real(np.trace(a @ x)) + np.real(np.trace(b @ x_inv)))
-
+    return real_trace(a @ x) + real_trace(b @ x_inv)

@@ -199,9 +199,16 @@ def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix._derived(_image(channel, rho.mat))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, or of each pair of two stacks of them."""
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (p * r, q * s))
+
+
 def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
     """Kronecker product of two states."""
-    return DensityMatrix._derived(np.kron(rho.mat, sigma.mat))
+    return DensityMatrix._derived(_kron(rho.mat, sigma.mat))
 
 
 def orthogonal_pair(dim_a: int, dim_b: int, seed) -> tuple[DensityMatrix, DensityMatrix]:

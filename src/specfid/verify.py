@@ -2,19 +2,22 @@
 
 Each registered property samples random instances, measures the worst
 violation of one stated identity or inequality, and returns a
-machine-readable report.  A property is a trial function that measures
-one instance; one trial stream, read by run_suite and the DPI search,
-runs the trials, each on a generator split off the seed by trial index.
-Two families are expected to fail away from the midpoint (data
-processing, and the upper trace-distance bound); those report
-fails_as_predicted rather than unexpected.
+machine-readable report.  A property is a chunk function that measures a
+chunk of instances of one dim at once; one trial stream, read by
+run_suite and the DPI search, runs the trials in chunks, each trial on a
+generator split off the seed by trial index.  Two families are expected
+to fail away from the midpoint (data processing, and the upper
+trace-distance bound); those report fails_as_predicted rather than
+unexpected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import partial
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -22,36 +25,32 @@ from .config import TOL
 from .errors import ParamError, ToleranceError, UnknownProperty
 from .fidelity import (
     _power_traces,
+    _renyi,
+    _sandwich_traces,
     _spectral_fidelities,
+    _uhlmann,
     diagonal_spectral_fidelity,
     fvg_bounds,
-    matsumoto_fidelity,
-    sandwiched_renyi,
     spectral_fidelity,
     spectral_fidelity_curve,
-    uhlmann_fidelity,
 )
 from .linalg import (
-    block_psd,
+    _block_psd,
+    _trace_norm,
     eig,
-    frac_power,
     hermitize,
-    support_projector,
-    trace_norm,
+    power,
+    psd_eig,
+    real_trace,
 )
-from .means import (
-    _spectral_means,
-    geometric_mean,
-    riccati_solution,
-    variational_objective,
-    weighted_spectral_mean,
-)
+from .means import _mean, _spectral_means, _variational_objective
 from .serialize import matrix_to_json
 from .states import (
     Channel,
     DensityMatrix,
     _bloch_matrix,
     _image,
+    _kron,
     _projector,
     apply,
     from_bloch,
@@ -60,7 +59,6 @@ from .states import (
     pure_state,
     random_density,
     random_unitary,
-    tensor,
     trial_rng,
 )
 
@@ -211,151 +209,210 @@ def _dpi_trial_pair(
 
 
 # ---------------------------------------------------------------------------
-# operator-mean trials
+# chunk helpers
 #
-# Every trial takes (rng, dim, trial, t) and returns its Candidates in the
-# order it measures them.  Fields that restate "dim" replace the
-# sampled dim in the witness.
+# A chunk function stacks its trials' draws and runs each kernel once per
+# chunk; every value equals the one its trial gives in a chunk of one, bit
+# for bit.  Fields that restate "dim" replace the sampled dim in the witness.
 
 
-def _congruence_trial(rng, dim, trial, t) -> list[Candidate]:
-    a, b = _random_pd(dim, rng), _random_pd(dim, rng)
-    while True:
-        c = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        c /= np.linalg.norm(c, 2)
-        if np.linalg.svd(c, compute_uv=False)[-1] > 0.1:
-            break
-    lhs = geometric_mean(c.conj().T @ a @ c, c.conj().T @ b @ c)
-    rhs = c.conj().T @ geometric_mean(a, b) @ c
-    return [Candidate(float(np.abs(lhs - rhs).max()), {"rho": a, "sigma": b})]
+def _stacks(draws) -> list[np.ndarray]:
+    """One (n, ...) stack per drawn item of the trials' draws; states
+    stack their matrices."""
+    return [np.stack([getattr(m, "mat", m) for m in item]) for item in zip(*draws)]
 
 
-def _inverse_identity_trial(rng, dim, trial, t) -> list[Candidate]:
-    a, b = _random_pd(dim, rng), _random_pd(dim, rng)
-    lhs = frac_power(geometric_mean(a, b), -1.0)
-    rhs = geometric_mean(frac_power(a, -1.0), frac_power(b, -1.0))
-    return [Candidate(float(np.abs(lhs - rhs).max()), {"rho": a, "sigma": b})]
+def _gm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _mean(a, b, riccati=False)[0]
 
 
-def _tensor_compatibility_trial(rng, dim, trial, t) -> list[Candidate]:
-    a, b = _random_pd(dim, rng), _random_pd(dim, rng)
-    c, d = _random_pd(2, rng), _random_pd(2, rng)
-    lhs = geometric_mean(np.kron(a, c), np.kron(b, d))
-    rhs = np.kron(geometric_mean(a, b), geometric_mean(c, d))
-    return [Candidate(float(np.abs(lhs - rhs).max()), {"rho": a, "sigma": b})]
+def _max_abs(mats: np.ndarray) -> list:
+    return np.abs(mats).max(axis=(-2, -1)).tolist()
 
 
-def _support_identity_trial(rng, dim, trial, t) -> list[Candidate]:
-    dim = max(3, dim)
-    a, b, proj = _basis_block_pair(dim, rng)
-    mean_proj = support_projector(geometric_mean(a, b))
-    v = float(np.linalg.norm(mean_proj - proj))
-    return [Candidate(v, {"dim": dim, "rho": a, "sigma": b})]
+def _own_t(trial: int) -> float:
+    """The point of T_GRID_11 that a trial of a one-point suite tests."""
+    return T_GRID_11[trial % len(T_GRID_11)]
 
 
-def _mean_flip_trial(rng, dim, trial, t) -> list[Candidate]:
-    a, b = _random_pd(dim, rng), _random_pd(dim, rng)
-    forward = _spectral_means(a, b, T_GRID_11)
-    mirrored = _spectral_means(b, a, [1.0 - tg for tg in T_GRID_11])
-    return [
-        Candidate(float(np.abs(f - g).max()), {"t": tg, "rho": a, "sigma": b})
-        for tg, f, g in zip(T_GRID_11, forward, mirrored)
-    ]
+def _own_t_fidelities(rho: np.ndarray, sigma: np.ndarray, trials) -> np.ndarray:
+    """F_t of each pair of two stacks at its trial's own t.  A pair at
+    t = 1/2 reads it off Tr[rho X], as a one-point call does, with no
+    decomposition of X; the others take their column of one grid call."""
+    cols = np.array([trial % len(T_GRID_11) for trial in trials])
+    values = np.empty(len(cols))
+    mid = cols == T_GRID_11.index(0.5)
+    if mid.any():
+        values[mid] = _spectral_fidelities(rho[mid], sigma[mid], [0.5])[:, 0]
+    if not mid.all():
+        curves = _spectral_fidelities(rho[~mid], sigma[~mid], T_GRID_11)
+        values[~mid] = curves[np.arange(len(curves)), cols[~mid]]
+    return values
 
 
-def _spectral_eigenvalues_trial(rng, dim, trial, t) -> list[Candidate]:
-    a, b = _random_pd(dim, rng), _random_pd(dim, rng)
-    lam_mean, _ = eig(weighted_spectral_mean(a, b, 0.5))
-    lam_prod = np.sort(np.linalg.eigvals(a @ b).real)
-    v = float(np.abs(lam_mean - np.sqrt(np.clip(lam_prod, 0, None))).max())
-    return [Candidate(v, {"rho": a, "sigma": b})]
+def _each(draws, values, **fields) -> Iterable[list[Candidate]]:
+    """One candidate per trial, located by its drawn pair as rho and sigma."""
+    return (
+        [Candidate(v, {**fields, "rho": d[0], "sigma": d[1]})] for v, d in zip(values, draws)
+    )
 
 
-def _riccati_trial(rng, dim, trial, t) -> list[Candidate]:
-    a, b = _random_pd(dim, rng), _random_pd(dim, rng)
-    x = riccati_solution(a, b)
-    return [Candidate(float(np.abs(x @ a @ x - b).max()), {"rho": a, "sigma": b})]
+def _per_t(draws, grids, rows, **fields) -> Iterable[list[Candidate]]:
+    """One candidate per point of each trial's grid, from its row of values."""
+    return (
+        [Candidate(v, {**fields, "t": tg, "rho": d[0], "sigma": d[1]}) for tg, v in zip(grid, row)]
+        for grid, row, d in zip(grids, rows, draws)
+    )
 
 
-def _variational_minimizer_trial(rng, dim, trial, t) -> list[Candidate]:
-    a, b = _random_pd(dim, rng), _random_pd(dim, rng)
-    base = variational_objective(a, b, riccati_solution(a, b))
-    return [
-        Candidate(base - variational_objective(a, b, _random_pd(dim, rng)),
-                  {"rho": a, "sigma": b})
-        for _ in range(20)
-    ]
+def _at_own_t(draws, trials, values, **fields) -> Iterable[list[Candidate]]:
+    """One candidate per trial, at the trial's own t."""
+    return _per_t(draws, [[_own_t(trial)] for trial in trials], [[v] for v in values], **fields)
 
 
 # ---------------------------------------------------------------------------
-# fidelity trials
+# operator-mean suites
 
 
-def _midpoint_uhlmann_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho, sigma = _full_pair(dim, rng)
-    v = abs(spectral_fidelity(rho, sigma, 0.5).value - uhlmann_fidelity(rho, sigma).value)
-    return [Candidate(v, {"rho": rho, "sigma": sigma})]
+def _congruence_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = []
+    for rng in rngs:
+        a, b = _random_pd(dim, rng), _random_pd(dim, rng)
+        while True:
+            c = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            c /= np.linalg.norm(c, 2)
+            if np.linalg.svd(c, compute_uv=False)[-1] > 0.1:
+                break
+        draws.append((a, b, c))
+    a, b, c = _stacks(draws)
+    ch = c.conj().swapaxes(-1, -2)
+    lhs = _gm(hermitize(ch @ a @ c), hermitize(ch @ b @ c))
+    return _each(draws, _max_abs(lhs - ch @ _gm(a, b) @ c))
 
 
-def _endpoints_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho, sigma = _full_pair(dim, rng)
-    v = max(abs(f - 1.0) for f in spectral_fidelity_curve(rho, sigma, (0.0, 1.0)))
-    return [Candidate(v, {"rho": rho, "sigma": sigma})]
+def _inverse(mats: np.ndarray) -> np.ndarray:
+    return power(*psd_eig(mats), -1.0, support_only=False)
 
 
-def _flip_symmetry_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho, sigma = _full_pair(dim, rng)
-    forward = spectral_fidelity_curve(rho, sigma, T_GRID_11)
-    mirrored = spectral_fidelity_curve(sigma, rho, [1.0 - tg for tg in T_GRID_11])
-    return [
-        Candidate(abs(f - g), {"t": tg, "rho": rho, "sigma": sigma})
-        for tg, f, g in zip(T_GRID_11, forward, mirrored)
+def _inverse_identity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [(_random_pd(dim, rng), _random_pd(dim, rng)) for rng in rngs]
+    a, b = _stacks(draws)
+    return _each(draws, _max_abs(_inverse(_gm(a, b)) - _gm(_inverse(a), _inverse(b))))
+
+
+def _tensor_compatibility_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [
+        (_random_pd(dim, rng), _random_pd(dim, rng), _random_pd(2, rng), _random_pd(2, rng))
+        for rng in rngs
     ]
+    a, b, c, d = _stacks(draws)
+    lhs = _gm(hermitize(_kron(a, c)), hermitize(_kron(b, d)))
+    return _each(draws, _max_abs(lhs - _kron(_gm(a, b), _gm(c, d))))
 
 
-def _multiplicativity_trial(rng, dim, trial, t) -> list[Candidate]:
-    r1, s1 = _full_pair(2, rng)
-    r2, s2 = _full_pair(dim, rng)
-    tg = T_GRID_11[trial % len(T_GRID_11)]
-    v = abs(
-        spectral_fidelity(tensor(r1, r2), tensor(s1, s2), tg).value
-        - spectral_fidelity(r1, s1, tg).value * spectral_fidelity(r2, s2, tg).value
+def _support_identity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    dim = max(3, dim)
+    draws = [_basis_block_pair(dim, rng) for rng in rngs]
+    a, b, proj = _stacks(draws)
+    gaps = power(*psd_eig(_gm(a, b)), 0.0) - proj
+    return _each(draws, [float(np.linalg.norm(gap)) for gap in gaps], dim=dim)
+
+
+def _mean_flip_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [(_random_pd(dim, rng), _random_pd(dim, rng)) for rng in rngs]
+    a, b = _stacks(draws)
+    forward = _spectral_means(a, b, T_GRID_11)
+    mirrored = _spectral_means(b, a, [1.0 - tg for tg in T_GRID_11])
+    return _per_t(draws, repeat(T_GRID_11), _max_abs(forward - mirrored))
+
+
+def _spectral_eigenvalues_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [(_random_pd(dim, rng), _random_pd(dim, rng)) for rng in rngs]
+    a, b = _stacks(draws)
+    lam_mean, _ = eig(_spectral_means(a, b, [0.5])[..., 0, :, :])
+    lam_prod = np.sort(np.linalg.eigvals(a @ b).real, axis=-1)
+    gaps = np.abs(lam_mean - np.sqrt(np.clip(lam_prod, 0, None))).max(axis=-1)
+    return _each(draws, gaps.tolist())
+
+
+def _riccati_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [(_random_pd(dim, rng), _random_pd(dim, rng)) for rng in rngs]
+    a, b = _stacks(draws)
+    x = _mean(a, b, riccati=True)[0]
+    return _each(draws, _max_abs(x @ a @ x - b))
+
+
+def _variational_minimizer_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = []
+    for rng in rngs:
+        a, b = _random_pd(dim, rng), _random_pd(dim, rng)
+        draws.append((a, b, np.stack([_random_pd(dim, rng) for _ in range(20)])))
+    a, b, others = _stacks(draws)
+    base = _variational_objective(a, b, _mean(a, b, riccati=True)[0])
+    gaps = base[:, None] - _variational_objective(a[:, None], b[:, None], others)
+    return (
+        [Candidate(v, {"rho": d[0], "sigma": d[1]}) for v in row]
+        for row, d in zip(gaps.tolist(), draws)
     )
-    return [Candidate(v, {"dim": 2 * r2.dim, "t": tg, "rho": r1, "sigma": s1})]
 
 
-def _unitary_invariance_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho, sigma = _full_pair(dim, rng)
-    u = random_unitary(dim, rng)
-    ru = DensityMatrix._derived(u @ rho.mat @ u.conj().T)
-    su = DensityMatrix._derived(u @ sigma.mat @ u.conj().T)
-    tg = T_GRID_11[trial % len(T_GRID_11)]
-    v = abs(
-        spectral_fidelity(ru, su, tg).value - spectral_fidelity(rho, sigma, tg).value
-    )
-    return [Candidate(v, {"t": tg, "rho": rho, "sigma": sigma})]
+# ---------------------------------------------------------------------------
+# fidelity suites
 
 
-def _tensor_stabilization_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho, sigma = _full_pair(dim, rng)
-    tau = random_density(2, 2, rng)
-    tg = T_GRID_11[trial % len(T_GRID_11)]
-    v = abs(
-        spectral_fidelity(tensor(rho, tau), tensor(sigma, tau), tg).value
-        - spectral_fidelity(rho, sigma, tg).value
-    )
-    return [Candidate(v, {"t": tg, "rho": rho, "sigma": sigma})]
+def _midpoint_uhlmann_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [_full_pair(dim, rng) for rng in rngs]
+    rho, sigma = _stacks(draws)
+    mid = _spectral_fidelities(rho, sigma, [0.5])[:, 0]
+    return _each(draws, np.abs(mid - _uhlmann(rho, sigma)).tolist())
 
 
-def _universal_bound_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho, sigma = _full_pair(dim, rng)
-    return [
-        Candidate(f - 1.0, {"t": tg, "rho": rho, "sigma": sigma})
-        for tg, f in zip(T_GRID_21, spectral_fidelity_curve(rho, sigma, T_GRID_21))
-    ]
+def _endpoints_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [_full_pair(dim, rng) for rng in rngs]
+    ends = _spectral_fidelities(*_stacks(draws), (0.0, 1.0))
+    return _each(draws, np.abs(ends - 1.0).max(axis=-1).tolist())
 
 
-def _midpoint_minimum_trial(rng, dim, trial, t) -> list[Candidate]:
+def _flip_symmetry_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [_full_pair(dim, rng) for rng in rngs]
+    rho, sigma = _stacks(draws)
+    forward = _spectral_fidelities(rho, sigma, T_GRID_11)
+    mirrored = _spectral_fidelities(sigma, rho, [1.0 - tg for tg in T_GRID_11])
+    return _per_t(draws, repeat(T_GRID_11), np.abs(forward - mirrored).tolist())
+
+
+def _multiplicativity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [(*_full_pair(2, rng), *_full_pair(dim, rng)) for rng in rngs]
+    r1, s1, r2, s2 = _stacks(draws)
+    joint = _own_t_fidelities(hermitize(_kron(r1, r2)), hermitize(_kron(s1, s2)), trials)
+    parts = _own_t_fidelities(r1, s1, trials) * _own_t_fidelities(r2, s2, trials)
+    return _at_own_t(draws, trials, np.abs(joint - parts).tolist(), dim=2 * dim)
+
+
+def _unitary_invariance_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [(*_full_pair(dim, rng), random_unitary(dim, rng)) for rng in rngs]
+    rho, sigma, u = _stacks(draws)
+    uh = u.conj().swapaxes(-1, -2)
+    turned = _own_t_fidelities(hermitize(u @ rho @ uh), hermitize(u @ sigma @ uh), trials)
+    gaps = np.abs(turned - _own_t_fidelities(rho, sigma, trials))
+    return _at_own_t(draws, trials, gaps.tolist())
+
+
+def _tensor_stabilization_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [(*_full_pair(dim, rng), random_density(2, 2, rng)) for rng in rngs]
+    rho, sigma, tau = _stacks(draws)
+    joint = _own_t_fidelities(hermitize(_kron(rho, tau)), hermitize(_kron(sigma, tau)), trials)
+    gaps = np.abs(joint - _own_t_fidelities(rho, sigma, trials))
+    return _at_own_t(draws, trials, gaps.tolist())
+
+
+def _universal_bound_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [_full_pair(dim, rng) for rng in rngs]
+    curves = _spectral_fidelities(*_stacks(draws), T_GRID_21)
+    return _per_t(draws, repeat(T_GRID_21), (curves - 1.0).tolist())
+
+
+def _midpoint_minimum_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
     # The claim F_t >= F_{1/2} on each single pair is refuted: the curve
     # is log-convex but not symmetric about t = 1/2 (the argument flip
     # maps t to 1 - t only with the pair swapped), so its minimum sits
@@ -363,14 +420,16 @@ def _midpoint_minimum_trial(rng, dim, trial, t) -> list[Candidate]:
     # e.g. diag(0.99, 0.01) vs I/2 at t = 0.6.  What log-convexity does
     # give is the symmetrized bound F_t * F_{1-t} >= F_{1/2}^2, tracked
     # alongside as a stat and reported in the notes.
-    rho, sigma = _full_pair(dim, rng)
-    curve = spectral_fidelity_curve(rho, sigma, T_GRID_21)
-    mid = curve[_MID_21]
-    return [
-        Candidate(mid - curve[i], {"t": tg, "rho": rho, "sigma": sigma},
-                  (mid * mid - curve[i] * curve[-1 - i],))
-        for i, tg in enumerate(T_GRID_21)
-    ]
+    draws = [_full_pair(dim, rng) for rng in rngs]
+    curves = _spectral_fidelities(*_stacks(draws), T_GRID_21)
+    mid = curves[:, _MID_21, None]
+    dips = (mid - curves).tolist()
+    syms = (mid * mid - curves * curves[:, ::-1]).tolist()
+    return (
+        [Candidate(v, {"t": tg, "rho": d[0], "sigma": d[1]}, (s,))
+         for tg, v, s in zip(T_GRID_21, dip, sym)]
+        for dip, sym, d in zip(dips, syms, draws)
+    )
 
 
 def _midpoint_minimum_notes(t, peaks) -> tuple[str, ...]:
@@ -387,39 +446,42 @@ def _midpoint_minimum_notes(t, peaks) -> tuple[str, ...]:
     )
 
 
-def _second_differences(values) -> list[float]:
-    v = np.asarray(values)
-    return (v[:-2] - 2.0 * v[1:-1] + v[2:]).tolist()
+def _second_differences(v: np.ndarray) -> np.ndarray:
+    """v[k] - 2 v[k+1] + v[k+2] along the last axis."""
+    return v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]
 
 
-def _convexity_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho, sigma = _full_pair(dim, rng)
-    curve = spectral_fidelity_curve(rho, sigma, T_GRID_21)
-    return [Candidate(-min(_second_differences(curve)), {"rho": rho, "sigma": sigma})]
+def _convexity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [_full_pair(dim, rng) for rng in rngs]
+    curves = _spectral_fidelities(*_stacks(draws), T_GRID_21)
+    return _each(draws, (-_second_differences(curves).min(axis=-1)).tolist())
 
 
-def _log_convexity_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho, sigma = _full_pair(dim, rng)
-    curve = [math.log(f) for f in spectral_fidelity_curve(rho, sigma, T_GRID_21)]
-    return [Candidate(-min(_second_differences(curve)), {"rho": rho, "sigma": sigma})]
+def _log_convexity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [_full_pair(dim, rng) for rng in rngs]
+    curves = _spectral_fidelities(*_stacks(draws), T_GRID_21).tolist()
+    logs = np.array([list(map(math.log, curve)) for curve in curves])
+    return _each(draws, (-_second_differences(logs).min(axis=-1)).tolist())
 
 
-def _separate_concavity_trial(rng, dim, trial, t) -> list[Candidate]:
-    r1, r2 = _full_pair(dim, rng)
-    sigma = random_density(dim, dim, rng)
-    f1 = spectral_fidelity(r1, sigma, t).value
-    f2 = spectral_fidelity(r2, sigma, t).value
-    g1 = spectral_fidelity(sigma, r1, t).value
-    g2 = spectral_fidelity(sigma, r2, t).value
-    candidates = []
-    for lam in LAMBDA_GRID:
-        mixed = DensityMatrix._derived(lam * r1.mat + (1.0 - lam) * r2.mat)
-        v1 = lam * f1 + (1.0 - lam) * f2 - spectral_fidelity(mixed, sigma, t).value
-        v2 = lam * g1 + (1.0 - lam) * g2 - spectral_fidelity(sigma, mixed, t).value
-        candidates.append(
-            Candidate(max(v1, v2), {"t": t, "lam": lam, "rho": r1, "sigma": r2}, (v1, v2))
-        )
-    return candidates
+def _separate_concavity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [(*_full_pair(dim, rng), random_density(dim, dim, rng)) for rng in rngs]
+    r1, r2, sigma = _stacks(draws)
+    n = len(LAMBDA_GRID)
+    mixed = [hermitize(lam * r1 + (1.0 - lam) * r2) for lam in LAMBDA_GRID]
+    # F(r1, s), F(r2, s), F(s, r1), F(s, r2), then F(mixed, s) and
+    # F(s, mixed) at each lam, for every trial from one call
+    left = np.stack([r1, r2, sigma, sigma, *mixed, *[sigma] * n], axis=1)
+    right = np.stack([sigma, sigma, r1, r2, *[sigma] * n, *mixed], axis=1)
+    f = _spectral_fidelities(left, right, [t])[..., 0]
+    lam = np.array(LAMBDA_GRID)
+    v1 = (lam * f[:, :1] + (1.0 - lam) * f[:, 1:2] - f[:, 4:4 + n]).tolist()
+    v2 = (lam * f[:, 2:3] + (1.0 - lam) * f[:, 3:4] - f[:, 4 + n:]).tolist()
+    return (
+        [Candidate(max(a, b), {"t": t, "lam": lg, "rho": d[0], "sigma": d[1]}, (a, b))
+         for lg, a, b in zip(LAMBDA_GRID, row1, row2)]
+        for row1, row2, d in zip(v1, v2, draws)
+    )
 
 
 def _separate_concavity_notes(t, peaks) -> tuple[str, ...]:
@@ -436,45 +498,49 @@ def _separate_concavity_notes(t, peaks) -> tuple[str, ...]:
     )
 
 
-def _first_fvg_trial(rng, dim, trial, t) -> list[Candidate]:
-    ranks = (dim, dim) if trial % 2 else (int(rng.integers(1, dim + 1)), dim)
-    rho = random_density(dim, ranks[0], rng)
-    sigma = random_density(dim, ranks[1], rng)
-    dist = 0.5 * trace_norm(rho.mat - sigma.mat)
-    return [
-        Candidate((1.0 - f) - dist, {"t": tg, "rho": rho, "sigma": sigma})
-        for tg, f in zip(T_GRID_11, spectral_fidelity_curve(rho, sigma, T_GRID_11))
-    ]
+def _first_fvg_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = []
+    for rng, trial in zip(rngs, trials):
+        ranks = (dim, dim) if trial % 2 else (int(rng.integers(1, dim + 1)), dim)
+        draws.append((random_density(dim, ranks[0], rng), random_density(dim, ranks[1], rng)))
+    rho, sigma = _stacks(draws)
+    dist = 0.5 * _trace_norm(hermitize(rho - sigma))
+    gaps = (1.0 - _spectral_fidelities(rho, sigma, T_GRID_11)) - dist[:, None]
+    return _per_t(draws, repeat(T_GRID_11), gaps.tolist())
 
 
-def _variational_dominance_trial(rng, dim, trial, t) -> list[Candidate]:
+def _variational_dominance_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    # Each trial's feasibility loop draws until it has 200 candidates that
+    # pass the block test, so it runs one trial at a time.
     t_grid = (0.1, 0.25, 0.4, 0.5) if t is None else (t,)
-    rho, sigma = _full_pair(dim, rng)
-    x_star = riccati_solution(rho.mat, sigma.mat)
-    inv_rho = frac_power(rho.mat, -1.0)
-    if not block_psd(inv_rho, x_star, sigma.mat):
-        return [Candidate(1.0, {"rho": rho, "sigma": sigma}, (1.0,))]
-    root = frac_power(x_star, 0.5)
-    targets = spectral_fidelity_curve(rho, sigma, t_grid)
-    feasible = []
-    while len(feasible) < 200:
-        # shrink the maximizer inside its own frame; a shrink is not
-        # automatically feasible, so each candidate must pass the
-        # block test, with a scalar shrink (feasible by construction,
-        # s^2 sigma <= sigma) as the fallback
-        u = random_unitary(dim, rng)
-        shrink = hermitize(u @ np.diag(rng.uniform(0.0, 1.0, dim)) @ u.conj().T)
-        cand = hermitize(float(rng.uniform(0.0, 1.0)) * root @ shrink @ root)
-        if not block_psd(inv_rho, cand, sigma.mat):
-            cand = hermitize(float(rng.uniform(0.0, 1.0)) * x_star)
-            if not block_psd(inv_rho, cand, sigma.mat):
-                continue
-        feasible.append(cand)
-    return [
-        Candidate(value - target, {"t": tg, "rho": rho, "sigma": sigma})
-        for values in _power_traces(rho.mat, np.array(feasible), t_grid).tolist()
-        for tg, value, target in zip(t_grid, values, targets)
-    ]
+    chunk = []
+    for rng in rngs:
+        rho, sigma = _full_pair(dim, rng)
+        x_star = _mean(rho.mat, sigma.mat, riccati=True)[0]
+        inv_rho = _inverse(rho.mat)
+        if not _block_psd(inv_rho, x_star, sigma.mat):
+            chunk.append([Candidate(1.0, {"rho": rho, "sigma": sigma}, (1.0,))])
+            continue
+        root = power(*psd_eig(x_star), 0.5, support_only=False)
+        targets = _spectral_fidelities(rho.mat, sigma.mat, t_grid)
+        feasible = []
+        while len(feasible) < 200:
+            # shrink the maximizer inside its own frame; a shrink is not
+            # automatically feasible, so each candidate must pass the
+            # block test, with a scalar shrink (feasible by construction,
+            # s^2 sigma <= sigma) as the fallback
+            u = random_unitary(dim, rng)
+            shrink = hermitize(u @ np.diag(rng.uniform(0.0, 1.0, dim)) @ u.conj().T)
+            cand = hermitize(float(rng.uniform(0.0, 1.0)) * root @ shrink @ root)
+            if not _block_psd(inv_rho, cand, sigma.mat):
+                cand = hermitize(float(rng.uniform(0.0, 1.0)) * x_star)
+                if not _block_psd(inv_rho, cand, sigma.mat):
+                    continue
+            feasible.append(cand)
+        gaps = (_power_traces(rho.mat, np.array(feasible), t_grid) - targets).tolist()
+        chunk.append([Candidate(v, {"t": tg, "rho": rho, "sigma": sigma})
+                      for row in gaps for tg, v in zip(t_grid, row)])
+    return chunk
 
 
 def _variational_dominance_notes(t, peaks) -> tuple[str, ...]:
@@ -482,103 +548,102 @@ def _variational_dominance_notes(t, peaks) -> tuple[str, ...]:
     return ("maximizer failed the block feasibility test",) if peaks else ()
 
 
-def _zero_condition_trial(rng, dim, trial, t) -> list[Candidate]:
+def _zero_condition_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
     dim = max(2, dim // 2)
-    rho, sigma = orthogonal_pair(dim, dim, rng)
-    grid = (0.1, 0.5, 1.0)
-    return [
-        Candidate(v, {"dim": 2 * dim, "t": tg, "rho": rho, "sigma": sigma})
-        for tg, v in zip(grid, spectral_fidelity_curve(rho, sigma, grid))
+    draws = [orthogonal_pair(dim, dim, rng) for rng in rngs]
+    values = _spectral_fidelities(*_stacks(draws), (0.1, 0.5, 1.0)).tolist()
+    return _per_t(draws, repeat((0.1, 0.5, 1.0)), values, dim=2 * dim)
+
+
+def _positivity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [
+        (random_density(dim, 1 if trial % 2 else dim, rng), random_density(dim, dim, rng))
+        for rng, trial in zip(rngs, trials)
     ]
+    curves = _spectral_fidelities(*_stacks(draws), T_GRID_11)
+    return _per_t(draws, repeat(T_GRID_11), np.where(curves <= 0.0, 1.0 - curves, 0.0).tolist())
 
 
-def _positivity_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho = (
-        random_density(dim, 1, rng) if trial % 2 else random_density(dim, dim, rng)
-    )
-    sigma = random_density(dim, dim, rng)
-    return [
-        Candidate(1.0 - f if f <= 0.0 else 0.0, {"t": tg, "rho": rho, "sigma": sigma})
-        for tg, f in zip(T_GRID_11, spectral_fidelity_curve(rho, sigma, T_GRID_11))
+def _closed_form_chunk(rngs, dim, trials, t, pure_rho: bool) -> Iterable[list[Candidate]]:
+    # a rank-one rho reduces F_t to c^t, a rank-one sigma to c^(1 - t),
+    # with c the overlap Tr[pure mixed]
+    ranks = (1, dim) if pure_rho else (dim, 1)
+    draws = [
+        (random_density(dim, ranks[0], rng), random_density(dim, ranks[1], rng)) for rng in rngs
     ]
+    rho, sigma = _stacks(draws)
+    values = _own_t_fidelities(rho, sigma, trials).tolist()
+    overlaps = real_trace(rho @ sigma if pure_rho else sigma @ rho).tolist()
+    gaps = [
+        abs(f - max(c, 0.0) ** (_own_t(trial) if pure_rho else 1.0 - _own_t(trial)))
+        for f, c, trial in zip(values, overlaps, trials)
+    ]
+    return _at_own_t(draws, trials, gaps)
 
 
-def _closed_form_pure_rho_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho = random_density(dim, 1, rng)
-    sigma = random_density(dim, dim, rng)
-    tg = T_GRID_11[trial % len(T_GRID_11)]
-    result = spectral_fidelity(rho, sigma, tg)
-    p = float(np.real(np.trace(rho.mat @ sigma.mat)))
-    closed = max(p, 0.0) ** tg
-    return [Candidate(abs(result.value - closed), {"t": tg, "rho": rho, "sigma": sigma})]
-
-
-def _closed_form_pure_sigma_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho = random_density(dim, dim, rng)
-    sigma = random_density(dim, 1, rng)
-    tg = T_GRID_11[trial % len(T_GRID_11)]
-    result = spectral_fidelity(rho, sigma, tg)
-    q = float(np.real(np.trace(sigma.mat @ rho.mat)))
-    closed = max(q, 0.0) ** (1.0 - tg)
-    return [Candidate(abs(result.value - closed), {"t": tg, "rho": rho, "sigma": sigma})]
-
-
-def _bloch_closed_forms_trial(rng, dim, trial, t) -> list[Candidate]:
-    r = rng.standard_normal(3)
-    r /= np.linalg.norm(r)
-    rho = from_bloch(r)
-    tg = T_GRID_11[trial % len(T_GRID_11)]
-    if trial % 2:
-        s = rng.standard_normal(3)
-        s *= rng.uniform(0.0, 0.98) / np.linalg.norm(s)
-    else:
-        s = rng.standard_normal(3)
-        s /= np.linalg.norm(s)
-    sigma = from_bloch(s)
-    overlap = 0.5 * (1.0 + float(r @ s))
-    v = abs(spectral_fidelity(rho, sigma, tg).value - overlap**tg)
-    v = max(v, abs(uhlmann_fidelity(rho, sigma).value - math.sqrt(overlap)))
-    v = max(v, abs(matsumoto_fidelity(rho, sigma).value - math.sqrt(overlap)))
-    return [Candidate(v, {"dim": 2, "t": tg, "rho": rho, "sigma": sigma})]
+def _bloch_closed_forms_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = []
+    for rng, trial in zip(rngs, trials):
+        r = rng.standard_normal(3)
+        r /= np.linalg.norm(r)
+        rho = from_bloch(r)
+        if trial % 2:
+            s = rng.standard_normal(3)
+            s *= rng.uniform(0.0, 0.98) / np.linalg.norm(s)
+        else:
+            s = rng.standard_normal(3)
+            s /= np.linalg.norm(s)
+        draws.append((rho, from_bloch(s), 0.5 * (1.0 + float(r @ s))))
+    rho, sigma, overlaps = _stacks(draws)
+    values = _own_t_fidelities(rho, sigma, trials).tolist()
+    gaps = []
+    for f, u, m, c, trial in zip(values, _uhlmann(rho, sigma).tolist(),
+                                 real_trace(_gm(rho, sigma)).tolist(), overlaps.tolist(), trials):
+        v = max(abs(f - c ** _own_t(trial)), abs(u - math.sqrt(c)))
+        gaps.append(max(v, abs(m - math.sqrt(c))))
+    return _at_own_t(draws, trials, gaps, dim=2)
 
 
 _INNER_GRID = tuple(round(0.05 + 0.09 * k, 10) for k in range(11))
 
 
-def _classicalization_trial(rng, dim, trial, t) -> list[Candidate]:
-    p = rng.dirichlet(np.ones(dim))
-    q = rng.dirichlet(np.ones(dim))
-    if trial % 3 == 2 and dim > 2:
-        # exercise the zero conventions away from the endpoint parameters
-        p = p.copy()
-        p[int(rng.integers(dim))] = 0.0
-        p /= p.sum()
-        grid = _INNER_GRID
-    else:
+def _classicalization_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = []
+    for rng, trial in zip(rngs, trials):
+        p = rng.dirichlet(np.ones(dim))
+        q = rng.dirichlet(np.ones(dim))
         grid = T_GRID_11
-    rho = DensityMatrix._derived(np.diag(p))
-    sigma = DensityMatrix._derived(np.diag(q))
-    fields = {"p": p.tolist(), "q": q.tolist()}
-    return [
-        Candidate(abs(f - diagonal_spectral_fidelity(p, q, tg).value), {**fields, "t": tg})
-        for tg, f in zip(grid, spectral_fidelity_curve(rho, sigma, grid))
-    ]
+        if trial % 3 == 2 and dim > 2:
+            # exercise the zero conventions away from the endpoint parameters
+            p = p.copy()
+            p[int(rng.integers(dim))] = 0.0
+            p /= p.sum()
+            grid = _INNER_GRID
+        rho = DensityMatrix._derived(np.diag(p))
+        draws.append((rho, DensityMatrix._derived(np.diag(q)), p, q, grid))
+    # both grids in one call: no value depends on the grid around it
+    rho, sigma = _stacks(draw[:2] for draw in draws)
+    curves = _spectral_fidelities(rho, sigma, T_GRID_11 + _INNER_GRID).tolist()
+    for curve, (_, _, p, q, grid) in zip(curves, draws):
+        fields = {"p": p.tolist(), "q": q.tolist()}
+        values = curve[len(T_GRID_11):] if grid is _INNER_GRID else curve
+        yield [
+            Candidate(abs(f - diagonal_spectral_fidelity(p, q, tg).value), {**fields, "t": tg})
+            for tg, f in zip(grid, values)
+        ]
 
 
-def _renyi_midpoint_trial(rng, dim, trial, t) -> list[Candidate]:
-    rho, sigma = _full_pair(dim, rng)
-    d_half = sandwiched_renyi(rho, sigma, 0.5)
-    v = abs(d_half + 2.0 * math.log(uhlmann_fidelity(rho, sigma).value))
-    affinity = float(
-        np.real(
-            np.trace(
-                frac_power(rho.mat, 0.5, support_only=True)
-                @ frac_power(sigma.mat, 0.5, support_only=True)
-            )
-        )
+def _renyi_midpoint_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [_full_pair(dim, rng) for rng in rngs]
+    rho, sigma = _stacks(draws)
+    d_half = [_renyi(tr, 0.5) for tr in _sandwich_traces(psd_eig(sigma), rho, 0.5, 0.5).tolist()]
+    uhlmann = _uhlmann(rho, sigma).tolist()
+    affinity = real_trace(power(*psd_eig(rho), 0.5) @ power(*psd_eig(sigma), 0.5)).tolist()
+    return (
+        [Candidate(abs(dh + 2.0 * math.log(u)), {"rho": d[0], "sigma": d[1]},
+                   (abs(dh + 2.0 * math.log(aff)),))]
+        for dh, u, aff, d in zip(d_half, uhlmann, affinity, draws)
     )
-    affinity_gap = abs(d_half + 2.0 * math.log(affinity))
-    return [Candidate(v, {"rho": rho, "sigma": sigma}, (affinity_gap,))]
 
 
 def _renyi_midpoint_notes(t, peaks) -> tuple[str, ...]:
@@ -591,43 +656,9 @@ def _renyi_midpoint_notes(t, peaks) -> tuple[str, ...]:
     )
 
 
-def _dpi_chunk(rngs, dims, trials, t) -> list[list[Candidate]]:
-    """The candidates of a chunk of DPI trials, one list per trial.
-
-    Each trial draws its pair from its own generator; the pairs of one
-    dim are stacked, and F_t before and after pinching comes for the
-    whole stack from one pass through the kernels, equal bit for bit to
-    the trial's own spectral_fidelity calls.
-    """
-    pairs = [
-        _dpi_trial_pair(dim, t, trial % 3, rng)
-        for rng, dim, trial in zip(rngs, dims, trials)
-    ]
-    gaps = [0.0] * len(pairs)
-    for dim in set(dims):
-        picked = [i for i, d in enumerate(dims) if d == dim]
-        rho = np.stack([pairs[i][0].mat for i in picked])
-        sigma = np.stack([pairs[i][1].mat for i in picked])
-        for i, gap in zip(picked, _violation_gaps(rho, sigma, t, pinching(dim))[0]):
-            gaps[i] = gap
-    return [
-        [Candidate(gap, {"t": t, "rho": rho, "sigma": sigma})]
-        for gap, (rho, sigma) in zip(gaps, pairs)
-    ]
-
-
-def _dpi_trial(rng, dim, trial, t) -> list[Candidate]:
-    (candidates,) = _dpi_chunk([rng], [dim], [trial], t)
-    return candidates
-
-
-def _dpi_midpoint_chunk(rngs, dims, trials, t) -> list[list[Candidate]]:
-    # the midpoint suite tests t = 1/2 whatever t the run asks for
-    return _dpi_chunk(rngs, dims, trials, 0.5)
-
-
-def _dpi_midpoint_trial(rng, dim, trial, t) -> list[Candidate]:
-    return _dpi_trial(rng, dim, trial, 0.5)
+def _dpi_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+    draws = [_dpi_trial_pair(dim, t, trial % 3, rng) for rng, trial in zip(rngs, trials)]
+    return _each(draws, _violation_gaps(*_stacks(draws), t, pinching(dim))[0], t=t)
 
 
 def _second_fvg_scan() -> tuple[float, dict, tuple[str, ...]]:
@@ -660,8 +691,9 @@ def _second_fvg_scan() -> tuple[float, dict, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class PropertySpec:
-    # trial(rng, dim, trial, t) -> the trial's Candidates in order
-    trial: Callable | None
+    # chunk(rngs, dim, trials, t) -> one list of Candidates per trial, in
+    # trial order, as any iterable
+    chunk: Callable | None
     # A callable is read when the suite runs, so tolerance overrides apply.
     tolerance: float | Callable[[], float]
     dims: tuple[int, ...]
@@ -682,76 +714,76 @@ def _never(t) -> bool:
 
 _REGISTRY: dict[str, PropertySpec] = {
     "congruence_invariance": PropertySpec(
-        _congruence_trial, 1e-8, (2, 3, 4), 500, _never,
+        _congruence_chunk, 1e-8, (2, 3, 4), 500, _never,
         "congruence transport of the geometric mean"),
     "inverse_identity": PropertySpec(
-        _inverse_identity_trial, 1e-8, (2, 3, 4), 500, _never,
+        _inverse_identity_chunk, 1e-8, (2, 3, 4), 500, _never,
         "inverse of the geometric mean is the mean of the inverses"),
     "tensor_compatibility": PropertySpec(
-        _tensor_compatibility_trial, 1e-8, (2, 3), 500, _never,
+        _tensor_compatibility_chunk, 1e-8, (2, 3), 500, _never,
         "geometric mean factors over tensor products"),
     "support_identity": PropertySpec(
-        _support_identity_trial, 1e-7, (3, 4, 5, 6), 200, _never,
+        _support_identity_chunk, 1e-7, (3, 4, 5, 6), 200, _never,
         "support of the mean is the intersection of supports"),
     "mean_flip_identity": PropertySpec(
-        _mean_flip_trial, 1e-9, (2, 3, 4), 200, _never,
+        _mean_flip_chunk, 1e-9, (2, 3, 4), 200, _never,
         "weighted mean reverses under swapping arguments and weight"),
     "spectral_eigenvalue_law": PropertySpec(
-        _spectral_eigenvalues_trial, 1e-8, (2, 3, 4, 5, 6), 500, _never,
+        _spectral_eigenvalues_chunk, 1e-8, (2, 3, 4, 5, 6), 500, _never,
         "spectral-mean eigenvalues are root eigenvalues of the product"),
     "riccati": PropertySpec(
-        _riccati_trial, 1e-9, (2, 3, 4), 500, _never,
+        _riccati_chunk, 1e-9, (2, 3, 4), 500, _never,
         "the mean solves its quadratic matrix equation"),
     "variational_minimizer": PropertySpec(
-        _variational_minimizer_trial, 1e-9, (2, 3, 4), 100, _never,
+        _variational_minimizer_chunk, 1e-9, (2, 3, 4), 100, _never,
         "the Riccati solution minimizes the trace objective"),
     "midpoint_uhlmann": PropertySpec(
-        _midpoint_uhlmann_trial, 1e-8, (2, 3, 4, 5, 6), 1000, _never,
+        _midpoint_uhlmann_chunk, 1e-8, (2, 3, 4, 5, 6), 1000, _never,
         "the family passes through the Uhlmann fidelity at the midpoint"),
     "endpoints": PropertySpec(
-        _endpoints_trial, 1e-10, (2, 3, 4), 500, _never,
+        _endpoints_chunk, 1e-10, (2, 3, 4), 500, _never,
         "both endpoints evaluate to one for full-rank pairs"),
     "flip_symmetry": PropertySpec(
-        _flip_symmetry_trial, 1e-8, (2, 3, 4), 500, _never,
+        _flip_symmetry_chunk, 1e-8, (2, 3, 4), 500, _never,
         "swapping states mirrors the parameter"),
     "multiplicativity": PropertySpec(
-        _multiplicativity_trial, 1e-8, (2, 3), 500, _never,
+        _multiplicativity_chunk, 1e-8, (2, 3), 500, _never,
         "the family factors over tensor products"),
     "unitary_invariance": PropertySpec(
-        _unitary_invariance_trial, 1e-8, (2, 3, 4), 500, _never,
+        _unitary_invariance_chunk, 1e-8, (2, 3, 4), 500, _never,
         "joint unitary conjugation leaves the value unchanged"),
     "tensor_stabilization": PropertySpec(
-        _tensor_stabilization_trial, 1e-8, (2, 3, 4), 500, _never,
+        _tensor_stabilization_chunk, 1e-8, (2, 3, 4), 500, _never,
         "appending a shared ancilla leaves the value unchanged"),
     "universal_bound": PropertySpec(
-        _universal_bound_trial, 1e-9, (2, 3, 4), 500, _never,
+        _universal_bound_chunk, 1e-9, (2, 3, 4), 500, _never,
         "the value never exceeds one on the unit parameter interval"),
     "midpoint_minimum": PropertySpec(
-        _midpoint_minimum_trial, 1e-9, (2, 3, 4), 500, _never,
+        _midpoint_minimum_chunk, 1e-9, (2, 3, 4), 500, _never,
         "the midpoint minimizes the family over t for full-rank pairs",
         notes=_midpoint_minimum_notes),
     "convexity_in_t": PropertySpec(
-        _convexity_trial, 1e-8, (2, 3, 4), 500, _never,
+        _convexity_chunk, 1e-8, (2, 3, 4), 500, _never,
         "discrete second differences in t are nonnegative"),
     "log_convexity_in_t": PropertySpec(
-        _log_convexity_trial, 1e-8, (2, 3, 4), 500, _never,
+        _log_convexity_chunk, 1e-8, (2, 3, 4), 500, _never,
         "discrete second differences of the log curve are nonnegative"),
     "separate_concavity": PropertySpec(
-        _separate_concavity_trial, 1e-8, (2, 3), 200, _never,
+        _separate_concavity_chunk, 1e-8, (2, 3), 200, _never,
         "the value is concave in each argument separately",
         t=0.5, notes=_separate_concavity_notes),
     "first_fvg": PropertySpec(
-        _first_fvg_trial, 1e-9, (2, 3, 4, 5, 6), 1000, _never,
+        _first_fvg_chunk, 1e-9, (2, 3, 4, 5, 6), 1000, _never,
         "one minus the value is below half the trace distance"),
     "variational_dominance": PropertySpec(
-        _variational_dominance_trial, 1e-8, (2, 3, 4), 10, _never,
+        _variational_dominance_chunk, 1e-8, (2, 3, 4), 10, _never,
         "no verified-feasible contraction beats the maximizer below the midpoint",
         notes=_variational_dominance_notes),
     "zero_condition": PropertySpec(
-        _zero_condition_trial, 1e-10, (4, 6), 200, _never,
+        _zero_condition_chunk, 1e-10, (4, 6), 200, _never,
         "orthogonal supports give exactly zero"),
     "positivity": PropertySpec(
-        _positivity_trial, 0.0, (2, 3, 4), 200, _never,
+        _positivity_chunk, 0.0, (2, 3, 4), 200, _never,
         "the value stays strictly positive on overlapping supports",
         notes=(
             "strict positivity requires overlapping supports: pairs with orthogonal "
@@ -759,28 +791,30 @@ _REGISTRY: dict[str, PropertySpec] = {
             "ensemble here keeps the support of rho inside the support of sigma",
         )),
     "closed_form_pure_rho": PropertySpec(
-        _closed_form_pure_rho_trial, 1e-9, (2, 3, 4), 500, _never,
+        partial(_closed_form_chunk, pure_rho=True), 1e-9, (2, 3, 4), 500, _never,
         "rank-one first argument reduces to a power of the overlap"),
     "closed_form_pure_sigma": PropertySpec(
-        _closed_form_pure_sigma_trial, 1e-9, (2, 3, 4), 500, _never,
+        partial(_closed_form_chunk, pure_rho=False), 1e-9, (2, 3, 4), 500, _never,
         "rank-one second argument reduces to a power of the overlap"),
     "bloch_closed_forms": PropertySpec(
-        _bloch_closed_forms_trial, 1e-9, (2,), 500, _never,
+        _bloch_closed_forms_chunk, 1e-9, (2,), 500, _never,
         "qubit values match the inner-product formulas"),
     "classicalization": PropertySpec(
-        _classicalization_trial, 1e-9, (2, 3, 4), 200, _never,
+        _classicalization_chunk, 1e-9, (2, 3, 4), 200, _never,
         "diagonal pairs reduce to the classical power sum"),
     "renyi_midpoint_uhlmann": PropertySpec(
-        _renyi_midpoint_trial, 1e-8, (2, 3, 4), 200, _never,
+        _renyi_midpoint_chunk, 1e-8, (2, 3, 4), 200, _never,
         "the order-1/2 divergence is minus twice the log Uhlmann fidelity",
         notes=_renyi_midpoint_notes),
     "dpi_monotone": PropertySpec(
-        _dpi_trial, lambda: TOL.dpi_margin, (2,), 500,
+        _dpi_chunk, lambda: TOL.dpi_margin, (2,), 500,
         lambda t: abs(t - 0.5) > 1e-12,
         "fidelity under the dephasing channel; predicted to fail off-midpoint",
         t=0.8),
     "dpi_midpoint": PropertySpec(
-        _dpi_midpoint_trial, lambda: TOL.dpi_margin, (2, 3), 500, _never,
+        # the midpoint suite tests t = 1/2 whatever t the run asks for
+        lambda rngs, dim, trials, t: _dpi_chunk(rngs, dim, trials, 0.5),
+        lambda: TOL.dpi_margin, (2, 3), 500, _never,
         "no data-processing violation exists at the midpoint"),
     "second_fvg": PropertySpec(
         None, 1e-12, (2,), 1, lambda t: True,
@@ -802,34 +836,36 @@ def _witness_value(value):
     return value
 
 
-# Trial functions with a stacked form chunk(rngs, dims, trials, t), which
-# returns each trial's candidates as the trial function alone would.
-_CHUNKS = {_dpi_trial: _dpi_chunk, _dpi_midpoint_trial: _dpi_midpoint_chunk}
 # Chunks grow 1, 2, 4, ... trials, so a search that stops at its first
-# trials evaluates few beyond them, up to this cap, which bounds the
-# memory of a long stream's stacks.
+# trials evaluates few beyond them.  The cap bounds the memory of a long
+# stream's stacks: at most _CHUNK_CAP trials, and at the largest dim d at
+# most _CHUNK_ENTRIES // d**2, so a stack of one drawn d x d matrix per
+# trial holds at most _CHUNK_ENTRIES entries (4 trials at d = 64, where
+# stacking gains nothing anyway).
 _CHUNK_CAP = 256
+_CHUNK_ENTRIES = 2**14
 
 
-def _candidates(trial_fn, dims: tuple[int, ...], n_samples: int, seed: int, t):
+def _candidates(chunk_fn, dims: tuple[int, ...], n_samples: int, seed: int, t):
     """(trial, dim, candidate) in trial order; each trial runs on its own
-    generator and the dim its index picks, so it replays alone.  A trial
-    function with a stacked form runs a chunk of trials at a time."""
-    chunk_fn = _CHUNKS.get(trial_fn)
+    generator and the dim its index picks, so it replays alone.  Each
+    chunk of trials is split by dim, one chunk_fn call per dim, and
+    merged back in trial order."""
+    cap = min(_CHUNK_CAP, max(1, _CHUNK_ENTRIES // max(dims) ** 2))
     start, size = 0, 1
     while start < n_samples:
         trials = range(start, min(start + size, n_samples))
-        # made as the trials draw, so a chunk holds one generator at a time
-        rngs = (trial_rng(seed, trial) for trial in trials)
         use_dims = [dims[trial % len(dims)] for trial in trials]
-        if chunk_fn is None:
-            chunk = map(trial_fn, rngs, use_dims, trials, [t] * len(trials))
-        else:
-            chunk = chunk_fn(rngs, use_dims, trials, t)
-        for trial, dim, cands in zip(trials, use_dims, chunk):
-            for cand in cands:
+        per_dim = {}
+        for dim in dict.fromkeys(use_dims):
+            picked = [trial for trial, d in zip(trials, use_dims) if d == dim]
+            # made as the trials draw, so a chunk holds one generator at a time
+            rngs = (trial_rng(seed, trial) for trial in picked)
+            per_dim[dim] = iter(chunk_fn(rngs, dim, picked, t))
+        for trial, dim in zip(trials, use_dims):
+            for cand in next(per_dim[dim]):
                 yield trial, dim, cand
-        start, size = trials.stop, min(2 * size, _CHUNK_CAP)
+        start, size = trials.stop, min(2 * size, cap)
 
 
 def _run_trials(
@@ -840,7 +876,7 @@ def _run_trials(
     A candidate must beat -1 to become the witness.
     """
     worst, found, peaks = -1.0, None, None
-    for trial, dim, cand in _candidates(spec.trial, dims, n_samples, seed, t):
+    for trial, dim, cand in _candidates(spec.chunk, dims, n_samples, seed, t):
         if cand.violation > worst:
             worst, found = cand.violation, (trial, dim, cand.fields)
         if cand.stats:
@@ -1008,7 +1044,7 @@ def search_dpi_violation(
         raise ParamError(f"dimension {dim} must be at least 2")
     if n_trials < 1:
         raise ParamError(f"n_trials must be positive, got {n_trials}")
-    for _, _, cand in _candidates(_dpi_trial, (dim,), n_trials, rng_seed, t):
+    for _, _, cand in _candidates(_dpi_chunk, (dim,), n_trials, rng_seed, t):
         if cand.violation > TOL.dpi_margin:
             return _minimize_coherence(
                 cand.fields["rho"], cand.fields["sigma"], t, pinching(dim)
@@ -1079,6 +1115,6 @@ def t_sweep(rho: DensityMatrix, sigma: DensityMatrix, t_grid) -> TSweepCurve:
         tuple(ts),
         tuple(values),
         tuple(logs.tolist()),
-        tuple(second_diff),
-        tuple(log_second_diff),
+        tuple(second_diff.tolist()),
+        tuple(log_second_diff.tolist()),
     )

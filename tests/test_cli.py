@@ -531,6 +531,19 @@ def test_malformed_input_exits_two_without_a_traceback(capsys, tmp_path, state, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config", [{"sead": 7, "sample": 3}, {"seed": 7, "tol": {}}])
+def test_unknown_config_key_exits_two(capsys, tmp_path, config):
+    # A misspelt setting would otherwise do nothing: the run would report
+    # seed 42 and exit 0.
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    argv = ["verify", "endpoints", "--samples", "2", "--config", str(tmp_path / "run.json")]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(sorted(set(config) - {"seed"})[0]) in err
+
+
 def test_runconfig_validation():
     with pytest.raises(ParamError):
         RunConfig(command="verify", fmt="xml")

@@ -63,6 +63,7 @@ CLI_RUNS = [
     _VERIFY + ["--seed", "42", "--t", "0.75"],
     _VERIFY + ["--seed", "42", "--dims", "3,5"],
     _VERIFY + ["--seed", "42", "--samples", "37"],
+    _VERIFY + ["--seed", "5", "--dims", "2,4,6", "--samples", "300"],
     _DPI + ["--t", "0.8"],
     _DPI + ["--t", "0.8", "--dims", "3"],
     _DPI + ["--t", "0.5", "--samples", "2000"],
