@@ -42,8 +42,6 @@ from .linalg import (
     block_psd,
     frac_power,
     hermitize,
-    is_psd,
-    support_projector,
     trace_norm,
 )
 from .means import (
@@ -112,8 +110,6 @@ __all__ = [
     "hermitize",
     "frac_power",
     "block_psd",
-    "is_psd",
-    "support_projector",
     "trace_norm",
     "geometric_mean",
     "riccati_solution",

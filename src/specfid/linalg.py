@@ -162,20 +162,6 @@ def _trace_norm(mat: np.ndarray) -> np.ndarray:
     return np.abs(spectrum(mat)).sum(axis=-1)
 
 
-def support_projector(mat: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the span of the significant eigenvectors."""
-    return frac_power(mat, 0.0, support_only=True)
-
-
-def is_psd(mat: np.ndarray) -> bool:
-    """Whether all eigenvalues sit above minus the PSD cutoff."""
-    return bool(_is_psd(as_hermitian(mat)))
-
-
-def _is_psd(mat: np.ndarray) -> np.ndarray:
-    return spectrum(mat)[..., 0] >= -psd_cutoff(mat)
-
-
 def block_psd(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> bool:
     """Whether the 2x2 block matrix [[A11, A12], [A12†, A22]] is PSD."""
     a11 = as_hermitian(a11)
@@ -191,5 +177,13 @@ def block_psd(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> bool:
 
 
 def _block_psd(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
-    """block_psd of trusted blocks, or of each block triple of three stacks."""
-    return _is_psd(np.block([[a11, a12], [a12.conj().swapaxes(-1, -2), a22]]))
+    """block_psd of trusted blocks, or of each block triple of three stacks:
+    whether each joined matrix's least eigenvalue is above minus its PSD
+    cutoff."""
+    n, m = a11.shape[-1], a22.shape[-1]
+    mat = np.empty(a11.shape[:-2] + (n + m, n + m), dtype=np.result_type(a11, a12, a22))
+    mat[..., :n, :n] = a11
+    mat[..., :n, n:] = a12
+    mat[..., n:, :n] = a12.conj().swapaxes(-1, -2)
+    mat[..., n:, n:] = a22
+    return spectrum(mat)[..., 0] >= -psd_cutoff(mat)

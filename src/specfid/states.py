@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -14,7 +15,7 @@ from .errors import (
     ParamError,
     ZeroVector,
 )
-from .linalg import as_hermitian, hermitize, psd_cutoff, spectrum
+from .linalg import as_hermitian, hermitize, psd_cutoff, real_trace, spectrum
 
 # Pauli basis used by the qubit parametrization.
 _PAULI = (
@@ -74,10 +75,11 @@ class DensityMatrix:
 
 
 def _bloch_matrix(r: np.ndarray) -> np.ndarray:
-    """(I + r . pauli)/2 of a real 3-vector, unchecked."""
+    """(I + r . pauli)/2 of a real 3-vector, or of each row of an (n, 3)
+    stack of them, unchecked."""
     mat = np.eye(2, dtype=complex)
-    for ri, pauli in zip(r, _PAULI):
-        mat = mat + ri * pauli
+    for k, pauli in enumerate(_PAULI):
+        mat = mat + r[..., k, None, None] * pauli
     return mat / 2
 
 
@@ -91,61 +93,134 @@ def from_bloch(r) -> DensityMatrix:
     return DensityMatrix(_bloch_matrix(r))
 
 
-def _projector(psi) -> np.ndarray:
-    """|psi><psi| of a nonzero vector, normalized internally."""
+def pure_state(psi) -> DensityMatrix:
+    """Rank-one projector onto a nonzero vector, normalized internally."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(psi))
     if norm <= 1e-150:
         raise ZeroVector("cannot normalize a zero state vector")
     psi = psi / norm
-    return np.outer(psi, psi.conj())
+    return DensityMatrix(np.outer(psi, psi.conj()))
 
 
-def pure_state(psi) -> DensityMatrix:
-    """Rank-one projector onto a nonzero vector, normalized internally."""
-    return DensityMatrix(_projector(psi))
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def _words(n: int, name: str) -> list[int]:
+    """The little-endian 32-bit words of a non-negative int; 0 is [0]."""
+    n = operator.index(n)
+    if n < 0:
+        raise ParamError(f"{name} {n} must be non-negative")
+    return [(n >> s) & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+@cache
+def _hashes(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants init * mult**k mod 2**32, k = 0..count."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(count + 1)], np.uint32)
+
+
+def _trial_states(seed: int, trials) -> list[dict]:
+    """The PCG64 state of default_rng(SeedSequence(entropy=seed,
+    spawn_key=(trial,))) for each trial, in one pass: SeedSequence mixes
+    the seed's words, zero-padded to its pool of four, with 4 hashes a
+    word, then each trial's words, here as uint32 arrays; generate_state
+    hashes each pool into four 64-bit words, and PCG64's two LCG seeding
+    steps make them the trial's state."""
+    run = _words(seed, "seed")
+    run += [0] * (4 - len(run))
+    words = [_words(trial, "trial") for trial in trials]
+    pool = np.tile(np.random.SeedSequence(run).pool, (len(words), 1))
+    hashes = _hashes(0x43B0D7E5, 0x931E8875, 4 * (len(run) + max(map(len, words))))
+    for m in range(max(map(len, words))):
+        has = np.array([len(w) > m for w in words])
+        word = np.array([w[m] if len(w) > m else 0 for w in words], np.uint32)[:, None]
+        h = hashes[4 * (len(run) + m):]
+        hashed = (word ^ h[:4]) * h[1:5]
+        hashed ^= hashed >> 16
+        mixed = pool * np.uint32(0xCA01F9DD) - hashed * np.uint32(0x4973F715)
+        pool[has] = (mixed ^ mixed >> 16)[has]
+    h = _hashes(0x8B51F9DD, 0x58F38DED, 8)
+    state = (np.tile(pool, 2) ^ h[:-1]) * h[1:]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in (state ^ state >> 16).astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        value = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": value, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Generator for one trial, split off the suite seed by trial index.
 
     Splitting keys the stream to (seed, trial), so trials are
-    reproducible independently of evaluation order.  The seed must be a
-    non-negative integer.
+    reproducible independently of evaluation order: it is numpy's
+    default_rng(SeedSequence(entropy=seed, spawn_key=(trial,))).  The
+    seed must be a non-negative integer.
     """
-    if seed < 0:
-        raise ParamError(f"seed {seed} must be non-negative")
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    )
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = _trial_states(seed, [trial])[0]
+    return rng
+
+
+def _split_gaussians(rows, shapes) -> list[np.ndarray]:
+    """The complex Gaussians of these (rows, cols) shapes that each row of
+    normals holds, one stack per shape: real part, then imaginary part,
+    as standard_normal(shape) + 1j * standard_normal(shape) draws them,
+    so a trial draws its run of such matrices in one call."""
+    rows, stacks, start = np.asarray(rows), [], 0
+    for r, c in shapes:
+        re, im = rows[:, start:start + 2 * r * c].reshape(-1, 2, r, c).swapaxes(0, 1)
+        stacks.append(re + 1j * im)
+        start += 2 * r * c
+    return stacks
+
+
+def _gaussians(rngs, *shapes) -> list[np.ndarray]:
+    """Each trial's complex Gaussian matrices of these shapes, one stack per shape."""
+    size = 2 * sum(r * c for r, c in shapes)
+    return _split_gaussians([rng.standard_normal(size) for rng in rngs], shapes)
+
+
+def _gram(g: np.ndarray) -> np.ndarray:
+    """Trace-normalized G G†, hermitized, of each matrix of a Gaussian
+    stack; the stack's one shape fixes the rounding of the product."""
+    mat = g @ g.conj().swapaxes(-1, -2)
+    return hermitize(mat / real_trace(mat)[..., None, None])
+
+
+def _densities(rngs, dim: int, *ranks: int) -> list[np.ndarray]:
+    """Each trial's random_density states of these ranks, one stack per rank."""
+    return [_gram(g) for g in _gaussians(rngs, *((dim, rank) for rank in ranks))]
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Q of the QR of each matrix of a Gaussian stack, with R's phases fixed."""
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[..., None, :]
+
+
+def _unitaries(rngs, dim: int) -> np.ndarray:
+    """Each trial's random_unitary, as one stack."""
+    return _haar(_gaussians(rngs, (dim, dim))[0])
 
 
 def random_density(dim: int, rank: int, seed) -> DensityMatrix:
     """Trace-normalized G G† with G a dim x rank complex Gaussian matrix."""
     if not 1 <= rank <= dim:
         raise ParamError(f"rank {rank} outside 1..{dim}")
-    rng = _as_generator(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    mat = g @ g.conj().T
-    return DensityMatrix._derived(mat / np.real(np.trace(mat)))
+    return DensityMatrix._derived(_densities([np.random.default_rng(seed)], dim, rank)[0][0])
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian with phase fix."""
     if dim < 1:
         raise ParamError(f"dimension {dim} must be positive")
-    rng = _as_generator(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _unitaries([np.random.default_rng(seed)], dim)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,18 +286,21 @@ def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
     return DensityMatrix._derived(_kron(rho.mat, sigma.mat))
 
 
+def _orthogonal_pairs(rngs, dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's orthogonal_pair, as two (n, d, d) stacks."""
+    a, b = map(_gram, _gaussians(rngs, (dim_a, dim_a), (dim_b, dim_b)))
+    pair = np.zeros((2, len(a), dim_a + dim_b, dim_a + dim_b), dtype=complex)
+    pair[0, :, :dim_a, :dim_a], pair[1, :, dim_a:, dim_a:] = a, b
+    return pair[0], pair[1]
+
+
 def orthogonal_pair(dim_a: int, dim_b: int, seed) -> tuple[DensityMatrix, DensityMatrix]:
     """Random full-rank states padded onto disjoint diagonal blocks.
 
     The supports are exactly orthogonal by construction, with no
     tolerance ambiguity.
     """
-    rng = _as_generator(seed)
-    a = random_density(dim_a, dim_a, rng)
-    b = random_density(dim_b, dim_b, rng)
-    d = dim_a + dim_b
-    rho = np.zeros((d, d), dtype=complex)
-    sig = np.zeros((d, d), dtype=complex)
-    rho[:dim_a, :dim_a] = a.mat
-    sig[dim_a:, dim_a:] = b.mat
-    return DensityMatrix._derived(rho), DensityMatrix._derived(sig)
+    if min(dim_a, dim_b) < 1:
+        raise ParamError(f"dimensions {dim_a} and {dim_b} must be positive")
+    rho, sigma = _orthogonal_pairs([np.random.default_rng(seed)], dim_a, dim_b)
+    return DensityMatrix._derived(rho[0]), DensityMatrix._derived(sigma[0])

@@ -49,17 +49,19 @@ from .states import (
     Channel,
     DensityMatrix,
     _bloch_matrix,
+    _densities,
+    _gaussians,
+    _gram,
+    _haar,
     _image,
     _kron,
-    _projector,
+    _orthogonal_pairs,
+    _split_gaussians,
+    _trial_states,
     apply,
-    from_bloch,
-    orthogonal_pair,
     pinching,
     pure_state,
-    random_density,
     random_unitary,
-    trial_rng,
 )
 
 T_GRID_11 = tuple(round(0.1 * k, 10) for k in range(11))
@@ -141,14 +143,28 @@ class Candidate(NamedTuple):
 # sampling helpers
 
 
-def _random_pd(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Well-conditioned random positive definite matrix of unit scale."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitize(g @ g.conj().T / dim + 0.1 * np.eye(dim))
+def _pd(g: np.ndarray) -> np.ndarray:
+    """A well-conditioned PD matrix of unit scale from each square Gaussian."""
+    dim = g.shape[-1]
+    return hermitize(g @ g.conj().swapaxes(-1, -2) / dim + 0.1 * np.eye(dim))
 
 
-def _full_pair(dim: int, rng) -> tuple[DensityMatrix, DensityMatrix]:
-    return random_density(dim, dim, rng), random_density(dim, dim, rng)
+def _pds(rngs, *dims: int) -> list[np.ndarray]:
+    """Each trial's _pd matrices of these dims, one stack per dim."""
+    return [_pd(g) for g in _gaussians(rngs, *((dim, dim) for dim in dims))]
+
+
+def _ranked_densities(dim: int, ranks: list[tuple], rows: list) -> list[np.ndarray]:
+    """The random_density states trial k drew of the ranks ranks[k], from
+    its one row of standard normals rows[k]; one (n, dim, dim) stack per
+    position, each Gram product over the trials of one rank tuple."""
+    out = np.empty((len(ranks[0]), len(ranks), dim, dim), dtype=complex)
+    for key in dict.fromkeys(ranks):
+        picked = [k for k, rank in enumerate(ranks) if rank == key]
+        gaussians = _split_gaussians([rows[k] for k in picked], [(dim, r) for r in key])
+        for pos, g in enumerate(gaussians):
+            out[pos, picked] = _gram(g)
+    return list(out)
 
 
 def _basis_block_pair(dim: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,8 +181,8 @@ def _basis_block_pair(dim: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray
     idx_b = rng.choice(dim, size=rb, replace=False)
     a = np.zeros((dim, dim), dtype=complex)
     b = np.zeros((dim, dim), dtype=complex)
-    a[np.ix_(idx_a, idx_a)] = _random_pd(ra, rng)
-    b[np.ix_(idx_b, idx_b)] = _random_pd(rb, rng)
+    a[np.ix_(idx_a, idx_a)] = _pds([rng], ra)[0][0]
+    b[np.ix_(idx_b, idx_b)] = _pds([rng], rb)[0][0]
     a = hermitize(u @ a @ u.conj().T)
     b = hermitize(u @ b @ u.conj().T)
     common = sorted(set(idx_a.tolist()) & set(idx_b.tolist()))
@@ -175,51 +191,32 @@ def _basis_block_pair(dim: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return a, b, proj
 
 
-def _dpi_trial_pair(
-    dim: int, t: float, kind: int, rng
-) -> tuple[DensityMatrix, DensityMatrix]:
-    """One candidate pair for the data-processing search.
-
-    Cycles three ensembles: Haar pure pairs (productive below the
-    midpoint), Ginibre mixed pairs (productive on both sides), and
-    near-classical coherent pairs built from the analytic qubit family,
-    order-flipped above the midpoint where the violation appears with
-    the roles interchanged.  Above two dimensions the qubit state psi
-    sits in the leading 2x2 block, (1 - delta) diag(psi, 0) + delta I/d,
-    which the pinching channel dephases as it does the qubit.
-    """
-    if kind == 0:
-        return random_density(dim, 1, rng), random_density(dim, 1, rng)
-    if kind == 1:
-        return _full_pair(dim, rng)
-    p = 10.0 ** rng.uniform(-3.0, math.log10(0.2))
-    delta = 10.0 ** rng.uniform(-4.0, -2.0)
-    eye = np.eye(dim) / dim
-
-    def near_classical(qubit: np.ndarray) -> DensityMatrix:
-        block = np.zeros((dim, dim), dtype=complex)
-        block[:2, :2] = DensityMatrix._derived(qubit).mat
-        return DensityMatrix._derived((1 - delta) * block + delta * eye)
-
-    rho = near_classical(_bloch_matrix(np.array((1.0, 0.0, 0.0))))
-    sigma = near_classical(_projector((math.sqrt(p), math.sqrt(1.0 - p))))
-    if t > 0.5:
-        rho, sigma = sigma, rho
-    return rho, sigma
+def _near_classical_pairs(dim: int, t: float, p: np.ndarray, delta: np.ndarray):
+    """The DPI search's near-classical pairs: the analytic qubit family
+    |+><+| against the pure state of amplitudes (sqrt(p), sqrt(1 - p)),
+    order-flipped above the midpoint where the violation appears with the
+    roles interchanged.  Above two dimensions each qubit state psi sits in
+    the leading 2x2 block, (1 - delta) diag(psi, 0) + delta I/d, which the
+    pinching channel dephases as it does the qubit."""
+    amps = np.stack([np.sqrt(p), np.sqrt(1.0 - p)], axis=-1)
+    # normalized as pure_state normalizes, by np.linalg.norm: the root of
+    # the dot product of each row with itself
+    psi = amps.astype(complex) / np.sqrt(amps[:, None, :] @ amps[:, :, None])[:, 0]
+    plus = np.broadcast_to(_bloch_matrix(np.array((1.0, 0.0, 0.0))), (len(p), 2, 2))
+    block = np.zeros((2, len(p), dim, dim), dtype=complex)
+    block[..., :2, :2] = hermitize(np.stack([plus, psi[:, :, None] * psi.conj()[:, None, :]]))
+    scale = delta[:, None, None]
+    rho, sigma = hermitize((1 - scale) * block + scale * (np.eye(dim) / dim))
+    return (sigma, rho) if t > 0.5 else (rho, sigma)
 
 
 # ---------------------------------------------------------------------------
 # chunk helpers
 #
-# A chunk function stacks its trials' draws and runs each kernel once per
-# chunk; every value equals the one its trial gives in a chunk of one, bit
-# for bit.  Fields that restate "dim" replace the sampled dim in the witness.
-
-
-def _stacks(draws) -> list[np.ndarray]:
-    """One (n, ...) stack per drawn item of the trials' draws; states
-    stack their matrices."""
-    return [np.stack([getattr(m, "mat", m) for m in item]) for item in zip(*draws)]
+# A chunk function draws its trials' matrices as stacks and runs each
+# kernel once per chunk; every value equals the one its trial gives in a
+# chunk of one, bit for bit.  Witness fields hold the trial's rows of the
+# stacks.  Fields that restate "dim" replace the sampled dim in the witness.
 
 
 def _gm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,24 +247,24 @@ def _own_t_fidelities(rho: np.ndarray, sigma: np.ndarray, trials) -> np.ndarray:
     return values
 
 
-def _each(draws, values, **fields) -> Iterable[list[Candidate]]:
+def _each(values, rho, sigma, **fields) -> Iterable[list[Candidate]]:
     """One candidate per trial, located by its drawn pair as rho and sigma."""
     return (
-        [Candidate(v, {**fields, "rho": d[0], "sigma": d[1]})] for v, d in zip(values, draws)
+        [Candidate(v, {**fields, "rho": r, "sigma": s})] for v, r, s in zip(values, rho, sigma)
     )
 
 
-def _per_t(draws, grids, rows, **fields) -> Iterable[list[Candidate]]:
+def _per_t(grids, rows, rho, sigma, **fields) -> Iterable[list[Candidate]]:
     """One candidate per point of each trial's grid, from its row of values."""
     return (
-        [Candidate(v, {**fields, "t": tg, "rho": d[0], "sigma": d[1]}) for tg, v in zip(grid, row)]
-        for grid, row, d in zip(grids, rows, draws)
+        [Candidate(v, {**fields, "t": tg, "rho": r, "sigma": s}) for tg, v in zip(grid, row)]
+        for grid, row, r, s in zip(grids, rows, rho, sigma)
     )
 
 
-def _at_own_t(draws, trials, values, **fields) -> Iterable[list[Candidate]]:
+def _at_own_t(trials, values, rho, sigma, **fields) -> Iterable[list[Candidate]]:
     """One candidate per trial, at the trial's own t."""
-    return _per_t(draws, [[_own_t(trial)] for trial in trials], [[v] for v in values], **fields)
+    return _per_t([[_own_t(trial)] for trial in trials], [[v] for v in values], rho, sigma, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +272,21 @@ def _at_own_t(draws, trials, values, **fields) -> Iterable[list[Candidate]]:
 
 
 def _congruence_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = []
+    rows, congruences = [], []
     for rng in rngs:
-        a, b = _random_pd(dim, rng), _random_pd(dim, rng)
+        rows.append(rng.standard_normal(4 * dim * dim))
         while True:
-            c = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            re, im = rng.standard_normal((2, dim, dim))
+            c = re + 1j * im
             c /= np.linalg.norm(c, 2)
             if np.linalg.svd(c, compute_uv=False)[-1] > 0.1:
                 break
-        draws.append((a, b, c))
-    a, b, c = _stacks(draws)
+        congruences.append(c)
+    a, b = map(_pd, _split_gaussians(rows, [(dim, dim)] * 2))
+    c = np.array(congruences)
     ch = c.conj().swapaxes(-1, -2)
     lhs = _gm(hermitize(ch @ a @ c), hermitize(ch @ b @ c))
-    return _each(draws, _max_abs(lhs - ch @ _gm(a, b) @ c))
+    return _each(_max_abs(lhs - ch @ _gm(a, b) @ c), a, b)
 
 
 def _inverse(mats: np.ndarray) -> np.ndarray:
@@ -295,64 +294,51 @@ def _inverse(mats: np.ndarray) -> np.ndarray:
 
 
 def _inverse_identity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [(_random_pd(dim, rng), _random_pd(dim, rng)) for rng in rngs]
-    a, b = _stacks(draws)
-    return _each(draws, _max_abs(_inverse(_gm(a, b)) - _gm(_inverse(a), _inverse(b))))
+    a, b = _pds(rngs, dim, dim)
+    return _each(_max_abs(_inverse(_gm(a, b)) - _gm(_inverse(a), _inverse(b))), a, b)
 
 
 def _tensor_compatibility_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [
-        (_random_pd(dim, rng), _random_pd(dim, rng), _random_pd(2, rng), _random_pd(2, rng))
-        for rng in rngs
-    ]
-    a, b, c, d = _stacks(draws)
+    a, b, c, d = _pds(rngs, dim, dim, 2, 2)
     lhs = _gm(hermitize(_kron(a, c)), hermitize(_kron(b, d)))
-    return _each(draws, _max_abs(lhs - _kron(_gm(a, b), _gm(c, d))))
+    return _each(_max_abs(lhs - _kron(_gm(a, b), _gm(c, d))), a, b)
 
 
 def _support_identity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
     dim = max(3, dim)
-    draws = [_basis_block_pair(dim, rng) for rng in rngs]
-    a, b, proj = _stacks(draws)
+    a, b, proj = map(np.array, zip(*[_basis_block_pair(dim, rng) for rng in rngs]))
     gaps = power(*psd_eig(_gm(a, b)), 0.0) - proj
-    return _each(draws, [float(np.linalg.norm(gap)) for gap in gaps], dim=dim)
+    return _each([float(np.linalg.norm(gap)) for gap in gaps], a, b, dim=dim)
 
 
 def _mean_flip_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [(_random_pd(dim, rng), _random_pd(dim, rng)) for rng in rngs]
-    a, b = _stacks(draws)
+    a, b = _pds(rngs, dim, dim)
     forward = _spectral_means(a, b, T_GRID_11)
     mirrored = _spectral_means(b, a, [1.0 - tg for tg in T_GRID_11])
-    return _per_t(draws, repeat(T_GRID_11), _max_abs(forward - mirrored))
+    return _per_t(repeat(T_GRID_11), _max_abs(forward - mirrored), a, b)
 
 
 def _spectral_eigenvalues_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [(_random_pd(dim, rng), _random_pd(dim, rng)) for rng in rngs]
-    a, b = _stacks(draws)
+    a, b = _pds(rngs, dim, dim)
     lam_mean, _ = eig(_spectral_means(a, b, [0.5])[..., 0, :, :])
     lam_prod = np.sort(np.linalg.eigvals(a @ b).real, axis=-1)
     gaps = np.abs(lam_mean - np.sqrt(np.clip(lam_prod, 0, None))).max(axis=-1)
-    return _each(draws, gaps.tolist())
+    return _each(gaps.tolist(), a, b)
 
 
 def _riccati_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [(_random_pd(dim, rng), _random_pd(dim, rng)) for rng in rngs]
-    a, b = _stacks(draws)
+    a, b = _pds(rngs, dim, dim)
     x = _mean(a, b, riccati=True)[0]
-    return _each(draws, _max_abs(x @ a @ x - b))
+    return _each(_max_abs(x @ a @ x - b), a, b)
 
 
 def _variational_minimizer_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = []
-    for rng in rngs:
-        a, b = _random_pd(dim, rng), _random_pd(dim, rng)
-        draws.append((a, b, np.stack([_random_pd(dim, rng) for _ in range(20)])))
-    a, b, others = _stacks(draws)
+    a, b, *others = _pds(rngs, *[dim] * 22)
     base = _variational_objective(a, b, _mean(a, b, riccati=True)[0])
-    gaps = base[:, None] - _variational_objective(a[:, None], b[:, None], others)
+    gaps = base[:, None] - _variational_objective(a[:, None], b[:, None], np.stack(others, 1))
     return (
-        [Candidate(v, {"rho": d[0], "sigma": d[1]}) for v in row]
-        for row, d in zip(gaps.tolist(), draws)
+        [Candidate(v, {"rho": r, "sigma": s}) for v in row]
+        for row, r, s in zip(gaps.tolist(), a, b)
     )
 
 
@@ -361,55 +347,51 @@ def _variational_minimizer_chunk(rngs, dim, trials, t) -> Iterable[list[Candidat
 
 
 def _midpoint_uhlmann_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [_full_pair(dim, rng) for rng in rngs]
-    rho, sigma = _stacks(draws)
+    rho, sigma = _densities(rngs, dim, dim, dim)
     mid = _spectral_fidelities(rho, sigma, [0.5])[:, 0]
-    return _each(draws, np.abs(mid - _uhlmann(rho, sigma)).tolist())
+    return _each(np.abs(mid - _uhlmann(rho, sigma)).tolist(), rho, sigma)
 
 
 def _endpoints_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [_full_pair(dim, rng) for rng in rngs]
-    ends = _spectral_fidelities(*_stacks(draws), (0.0, 1.0))
-    return _each(draws, np.abs(ends - 1.0).max(axis=-1).tolist())
+    rho, sigma = _densities(rngs, dim, dim, dim)
+    ends = _spectral_fidelities(rho, sigma, (0.0, 1.0))
+    return _each(np.abs(ends - 1.0).max(axis=-1).tolist(), rho, sigma)
 
 
 def _flip_symmetry_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [_full_pair(dim, rng) for rng in rngs]
-    rho, sigma = _stacks(draws)
+    rho, sigma = _densities(rngs, dim, dim, dim)
     forward = _spectral_fidelities(rho, sigma, T_GRID_11)
     mirrored = _spectral_fidelities(sigma, rho, [1.0 - tg for tg in T_GRID_11])
-    return _per_t(draws, repeat(T_GRID_11), np.abs(forward - mirrored).tolist())
+    return _per_t(repeat(T_GRID_11), np.abs(forward - mirrored).tolist(), rho, sigma)
 
 
 def _multiplicativity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [(*_full_pair(2, rng), *_full_pair(dim, rng)) for rng in rngs]
-    r1, s1, r2, s2 = _stacks(draws)
+    r1, s1, r2, s2 = map(_gram, _gaussians(rngs, (2, 2), (2, 2), (dim, dim), (dim, dim)))
     joint = _own_t_fidelities(hermitize(_kron(r1, r2)), hermitize(_kron(s1, s2)), trials)
     parts = _own_t_fidelities(r1, s1, trials) * _own_t_fidelities(r2, s2, trials)
-    return _at_own_t(draws, trials, np.abs(joint - parts).tolist(), dim=2 * dim)
+    return _at_own_t(trials, np.abs(joint - parts).tolist(), r1, s1, dim=2 * dim)
 
 
 def _unitary_invariance_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [(*_full_pair(dim, rng), random_unitary(dim, rng)) for rng in rngs]
-    rho, sigma, u = _stacks(draws)
+    g_rho, g_sigma, g_u = _gaussians(rngs, *[(dim, dim)] * 3)
+    rho, sigma, u = _gram(g_rho), _gram(g_sigma), _haar(g_u)
     uh = u.conj().swapaxes(-1, -2)
     turned = _own_t_fidelities(hermitize(u @ rho @ uh), hermitize(u @ sigma @ uh), trials)
     gaps = np.abs(turned - _own_t_fidelities(rho, sigma, trials))
-    return _at_own_t(draws, trials, gaps.tolist())
+    return _at_own_t(trials, gaps.tolist(), rho, sigma)
 
 
 def _tensor_stabilization_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [(*_full_pair(dim, rng), random_density(2, 2, rng)) for rng in rngs]
-    rho, sigma, tau = _stacks(draws)
+    rho, sigma, tau = map(_gram, _gaussians(rngs, (dim, dim), (dim, dim), (2, 2)))
     joint = _own_t_fidelities(hermitize(_kron(rho, tau)), hermitize(_kron(sigma, tau)), trials)
     gaps = np.abs(joint - _own_t_fidelities(rho, sigma, trials))
-    return _at_own_t(draws, trials, gaps.tolist())
+    return _at_own_t(trials, gaps.tolist(), rho, sigma)
 
 
 def _universal_bound_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [_full_pair(dim, rng) for rng in rngs]
-    curves = _spectral_fidelities(*_stacks(draws), T_GRID_21)
-    return _per_t(draws, repeat(T_GRID_21), (curves - 1.0).tolist())
+    rho, sigma = _densities(rngs, dim, dim, dim)
+    curves = _spectral_fidelities(rho, sigma, T_GRID_21)
+    return _per_t(repeat(T_GRID_21), (curves - 1.0).tolist(), rho, sigma)
 
 
 def _midpoint_minimum_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
@@ -420,15 +402,15 @@ def _midpoint_minimum_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
     # e.g. diag(0.99, 0.01) vs I/2 at t = 0.6.  What log-convexity does
     # give is the symmetrized bound F_t * F_{1-t} >= F_{1/2}^2, tracked
     # alongside as a stat and reported in the notes.
-    draws = [_full_pair(dim, rng) for rng in rngs]
-    curves = _spectral_fidelities(*_stacks(draws), T_GRID_21)
+    rho, sigma = _densities(rngs, dim, dim, dim)
+    curves = _spectral_fidelities(rho, sigma, T_GRID_21)
     mid = curves[:, _MID_21, None]
     dips = (mid - curves).tolist()
     syms = (mid * mid - curves * curves[:, ::-1]).tolist()
     return (
-        [Candidate(v, {"t": tg, "rho": d[0], "sigma": d[1]}, (s,))
-         for tg, v, s in zip(T_GRID_21, dip, sym)]
-        for dip, sym, d in zip(dips, syms, draws)
+        [Candidate(v, {"t": tg, "rho": r, "sigma": s}, (m,))
+         for tg, v, m in zip(T_GRID_21, dip, sym)]
+        for dip, sym, r, s in zip(dips, syms, rho, sigma)
     )
 
 
@@ -452,21 +434,20 @@ def _second_differences(v: np.ndarray) -> np.ndarray:
 
 
 def _convexity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [_full_pair(dim, rng) for rng in rngs]
-    curves = _spectral_fidelities(*_stacks(draws), T_GRID_21)
-    return _each(draws, (-_second_differences(curves).min(axis=-1)).tolist())
+    rho, sigma = _densities(rngs, dim, dim, dim)
+    curves = _spectral_fidelities(rho, sigma, T_GRID_21)
+    return _each((-_second_differences(curves).min(axis=-1)).tolist(), rho, sigma)
 
 
 def _log_convexity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [_full_pair(dim, rng) for rng in rngs]
-    curves = _spectral_fidelities(*_stacks(draws), T_GRID_21).tolist()
+    rho, sigma = _densities(rngs, dim, dim, dim)
+    curves = _spectral_fidelities(rho, sigma, T_GRID_21).tolist()
     logs = np.array([list(map(math.log, curve)) for curve in curves])
-    return _each(draws, (-_second_differences(logs).min(axis=-1)).tolist())
+    return _each((-_second_differences(logs).min(axis=-1)).tolist(), rho, sigma)
 
 
 def _separate_concavity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [(*_full_pair(dim, rng), random_density(dim, dim, rng)) for rng in rngs]
-    r1, r2, sigma = _stacks(draws)
+    r1, r2, sigma = _densities(rngs, dim, dim, dim, dim)
     n = len(LAMBDA_GRID)
     mixed = [hermitize(lam * r1 + (1.0 - lam) * r2) for lam in LAMBDA_GRID]
     # F(r1, s), F(r2, s), F(s, r1), F(s, r2), then F(mixed, s) and
@@ -477,10 +458,11 @@ def _separate_concavity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]
     lam = np.array(LAMBDA_GRID)
     v1 = (lam * f[:, :1] + (1.0 - lam) * f[:, 1:2] - f[:, 4:4 + n]).tolist()
     v2 = (lam * f[:, 2:3] + (1.0 - lam) * f[:, 3:4] - f[:, 4 + n:]).tolist()
+    # the witness locates the trial by its first pair, r1 and r2
     return (
-        [Candidate(max(a, b), {"t": t, "lam": lg, "rho": d[0], "sigma": d[1]}, (a, b))
+        [Candidate(max(a, b), {"t": t, "lam": lg, "rho": x, "sigma": y}, (a, b))
          for lg, a, b in zip(LAMBDA_GRID, row1, row2)]
-        for row1, row2, d in zip(v1, v2, draws)
+        for row1, row2, x, y in zip(v1, v2, r1, r2)
     )
 
 
@@ -499,14 +481,15 @@ def _separate_concavity_notes(t, peaks) -> tuple[str, ...]:
 
 
 def _first_fvg_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = []
+    ranks, rows = [], []
     for rng, trial in zip(rngs, trials):
-        ranks = (dim, dim) if trial % 2 else (int(rng.integers(1, dim + 1)), dim)
-        draws.append((random_density(dim, ranks[0], rng), random_density(dim, ranks[1], rng)))
-    rho, sigma = _stacks(draws)
+        rank = dim if trial % 2 else int(rng.integers(1, dim + 1))
+        ranks.append((rank, dim))
+        rows.append(rng.standard_normal(2 * dim * (rank + dim)))
+    rho, sigma = _ranked_densities(dim, ranks, rows)
     dist = 0.5 * _trace_norm(hermitize(rho - sigma))
     gaps = (1.0 - _spectral_fidelities(rho, sigma, T_GRID_11)) - dist[:, None]
-    return _per_t(draws, repeat(T_GRID_11), gaps.tolist())
+    return _per_t(repeat(T_GRID_11), gaps.tolist(), rho, sigma)
 
 
 def _variational_dominance_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
@@ -515,14 +498,14 @@ def _variational_dominance_chunk(rngs, dim, trials, t) -> Iterable[list[Candidat
     t_grid = (0.1, 0.25, 0.4, 0.5) if t is None else (t,)
     chunk = []
     for rng in rngs:
-        rho, sigma = _full_pair(dim, rng)
-        x_star = _mean(rho.mat, sigma.mat, riccati=True)[0]
-        inv_rho = _inverse(rho.mat)
-        if not _block_psd(inv_rho, x_star, sigma.mat):
+        rho, sigma = (stack[0] for stack in _densities([rng], dim, dim, dim))
+        x_star = _mean(rho, sigma, riccati=True)[0]
+        inv_rho = _inverse(rho)
+        if not _block_psd(inv_rho, x_star, sigma):
             chunk.append([Candidate(1.0, {"rho": rho, "sigma": sigma}, (1.0,))])
             continue
         root = power(*psd_eig(x_star), 0.5, support_only=False)
-        targets = _spectral_fidelities(rho.mat, sigma.mat, t_grid)
+        targets = _spectral_fidelities(rho, sigma, t_grid)
         feasible = []
         while len(feasible) < 200:
             # shrink the maximizer inside its own frame; a shrink is not
@@ -532,12 +515,12 @@ def _variational_dominance_chunk(rngs, dim, trials, t) -> Iterable[list[Candidat
             u = random_unitary(dim, rng)
             shrink = hermitize(u @ np.diag(rng.uniform(0.0, 1.0, dim)) @ u.conj().T)
             cand = hermitize(float(rng.uniform(0.0, 1.0)) * root @ shrink @ root)
-            if not _block_psd(inv_rho, cand, sigma.mat):
+            if not _block_psd(inv_rho, cand, sigma):
                 cand = hermitize(float(rng.uniform(0.0, 1.0)) * x_star)
-                if not _block_psd(inv_rho, cand, sigma.mat):
+                if not _block_psd(inv_rho, cand, sigma):
                     continue
             feasible.append(cand)
-        gaps = (_power_traces(rho.mat, np.array(feasible), t_grid) - targets).tolist()
+        gaps = (_power_traces(rho, np.array(feasible), t_grid) - targets).tolist()
         chunk.append([Candidate(v, {"t": tg, "rho": rho, "sigma": sigma})
                       for row in gaps for tg, v in zip(t_grid, row)])
     return chunk
@@ -550,81 +533,76 @@ def _variational_dominance_notes(t, peaks) -> tuple[str, ...]:
 
 def _zero_condition_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
     dim = max(2, dim // 2)
-    draws = [orthogonal_pair(dim, dim, rng) for rng in rngs]
-    values = _spectral_fidelities(*_stacks(draws), (0.1, 0.5, 1.0)).tolist()
-    return _per_t(draws, repeat((0.1, 0.5, 1.0)), values, dim=2 * dim)
+    rho, sigma = _orthogonal_pairs(rngs, dim, dim)
+    values = _spectral_fidelities(rho, sigma, (0.1, 0.5, 1.0)).tolist()
+    return _per_t(repeat((0.1, 0.5, 1.0)), values, rho, sigma, dim=2 * dim)
 
 
 def _positivity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [
-        (random_density(dim, 1 if trial % 2 else dim, rng), random_density(dim, dim, rng))
-        for rng, trial in zip(rngs, trials)
-    ]
-    curves = _spectral_fidelities(*_stacks(draws), T_GRID_11)
-    return _per_t(draws, repeat(T_GRID_11), np.where(curves <= 0.0, 1.0 - curves, 0.0).tolist())
+    ranks = [(1 if trial % 2 else dim, dim) for trial in trials]
+    rows = [rng.standard_normal(2 * dim * sum(rank)) for rng, rank in zip(rngs, ranks)]
+    rho, sigma = _ranked_densities(dim, ranks, rows)
+    curves = _spectral_fidelities(rho, sigma, T_GRID_11)
+    values = np.where(curves <= 0.0, 1.0 - curves, 0.0).tolist()
+    return _per_t(repeat(T_GRID_11), values, rho, sigma)
 
 
 def _closed_form_chunk(rngs, dim, trials, t, pure_rho: bool) -> Iterable[list[Candidate]]:
     # a rank-one rho reduces F_t to c^t, a rank-one sigma to c^(1 - t),
     # with c the overlap Tr[pure mixed]
-    ranks = (1, dim) if pure_rho else (dim, 1)
-    draws = [
-        (random_density(dim, ranks[0], rng), random_density(dim, ranks[1], rng)) for rng in rngs
-    ]
-    rho, sigma = _stacks(draws)
+    rho, sigma = _densities(rngs, dim, *((1, dim) if pure_rho else (dim, 1)))
     values = _own_t_fidelities(rho, sigma, trials).tolist()
     overlaps = real_trace(rho @ sigma if pure_rho else sigma @ rho).tolist()
     gaps = [
         abs(f - max(c, 0.0) ** (_own_t(trial) if pure_rho else 1.0 - _own_t(trial)))
         for f, c, trial in zip(values, overlaps, trials)
     ]
-    return _at_own_t(draws, trials, gaps)
+    return _at_own_t(trials, gaps, rho, sigma)
 
 
 def _bloch_closed_forms_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = []
+    vectors, overlaps = [], []
     for rng, trial in zip(rngs, trials):
-        r = rng.standard_normal(3)
+        r, s = rng.standard_normal((2, 3))
         r /= np.linalg.norm(r)
-        rho = from_bloch(r)
         if trial % 2:
-            s = rng.standard_normal(3)
             s *= rng.uniform(0.0, 0.98) / np.linalg.norm(s)
         else:
-            s = rng.standard_normal(3)
             s /= np.linalg.norm(s)
-        draws.append((rho, from_bloch(s), 0.5 * (1.0 + float(r @ s))))
-    rho, sigma, overlaps = _stacks(draws)
+        vectors.append((r, s))
+        overlaps.append(0.5 * (1.0 + float(r @ s)))
+    rho, sigma = (hermitize(_bloch_matrix(v)) for v in np.array(vectors).swapaxes(0, 1))
     values = _own_t_fidelities(rho, sigma, trials).tolist()
     gaps = []
     for f, u, m, c, trial in zip(values, _uhlmann(rho, sigma).tolist(),
-                                 real_trace(_gm(rho, sigma)).tolist(), overlaps.tolist(), trials):
+                                 real_trace(_gm(rho, sigma)).tolist(), overlaps, trials):
         v = max(abs(f - c ** _own_t(trial)), abs(u - math.sqrt(c)))
         gaps.append(max(v, abs(m - math.sqrt(c))))
-    return _at_own_t(draws, trials, gaps, dim=2)
+    return _at_own_t(trials, gaps, rho, sigma, dim=2)
 
 
 _INNER_GRID = tuple(round(0.05 + 0.09 * k, 10) for k in range(11))
 
 
 def _classicalization_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = []
+    ps, qs, grids = [], [], []
     for rng, trial in zip(rngs, trials):
         p = rng.dirichlet(np.ones(dim))
         q = rng.dirichlet(np.ones(dim))
         grid = T_GRID_11
         if trial % 3 == 2 and dim > 2:
             # exercise the zero conventions away from the endpoint parameters
-            p = p.copy()
             p[int(rng.integers(dim))] = 0.0
             p /= p.sum()
             grid = _INNER_GRID
-        rho = DensityMatrix._derived(np.diag(p))
-        draws.append((rho, DensityMatrix._derived(np.diag(q)), p, q, grid))
-    # both grids in one call: no value depends on the grid around it
-    rho, sigma = _stacks(draw[:2] for draw in draws)
-    curves = _spectral_fidelities(rho, sigma, T_GRID_11 + _INNER_GRID).tolist()
-    for curve, (_, _, p, q, grid) in zip(curves, draws):
+        ps.append(p)
+        qs.append(q)
+        grids.append(grid)
+    # the diagonal states, and both grids in one call: no value depends
+    # on the grid around it
+    rho, sigma = (np.array(v)[:, :, None] * np.eye(dim, dtype=complex) for v in (ps, qs))
+    curves = _spectral_fidelities(rho, sigma, T_GRID_11 + _INNER_GRID)
+    for curve, p, q, grid in zip(curves.tolist(), ps, qs, grids):
         fields = {"p": p.tolist(), "q": q.tolist()}
         values = curve[len(T_GRID_11):] if grid is _INNER_GRID else curve
         yield [
@@ -634,15 +612,14 @@ def _classicalization_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
 
 
 def _renyi_midpoint_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [_full_pair(dim, rng) for rng in rngs]
-    rho, sigma = _stacks(draws)
+    rho, sigma = _densities(rngs, dim, dim, dim)
     d_half = [_renyi(tr, 0.5) for tr in _sandwich_traces(psd_eig(sigma), rho, 0.5, 0.5).tolist()]
     uhlmann = _uhlmann(rho, sigma).tolist()
     affinity = real_trace(power(*psd_eig(rho), 0.5) @ power(*psd_eig(sigma), 0.5)).tolist()
     return (
-        [Candidate(abs(dh + 2.0 * math.log(u)), {"rho": d[0], "sigma": d[1]},
+        [Candidate(abs(dh + 2.0 * math.log(u)), {"rho": r, "sigma": s},
                    (abs(dh + 2.0 * math.log(aff)),))]
-        for dh, u, aff, d in zip(d_half, uhlmann, affinity, draws)
+        for dh, u, aff, r, s in zip(d_half, uhlmann, affinity, rho, sigma)
     )
 
 
@@ -657,8 +634,26 @@ def _renyi_midpoint_notes(t, peaks) -> tuple[str, ...]:
 
 
 def _dpi_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    draws = [_dpi_trial_pair(dim, t, trial % 3, rng) for rng, trial in zip(rngs, trials)]
-    return _each(draws, _violation_gaps(*_stacks(draws), t, pinching(dim))[0], t=t)
+    # Trial k draws by k % 3 from one of three ensembles: Haar pure pairs
+    # (productive below the midpoint), Ginibre mixed pairs (productive on
+    # both sides), and the near-classical pairs of two uniforms each.
+    ranks, rows, uniforms = [], [], []
+    for rng, trial in zip(rngs, trials):
+        if trial % 3 == 2:
+            p = 10.0 ** rng.uniform(-3.0, math.log10(0.2))
+            uniforms.append((p, 10.0 ** rng.uniform(-4.0, -2.0)))
+        else:
+            rank = dim if trial % 3 else 1
+            ranks.append((rank, rank))
+            rows.append(rng.standard_normal(4 * dim * rank))
+    near = np.array([trial % 3 == 2 for trial in trials])
+    rho = np.empty((len(trials), dim, dim), dtype=complex)
+    sigma = np.empty_like(rho)
+    if rows:
+        rho[~near], sigma[~near] = _ranked_densities(dim, ranks, rows)
+    if uniforms:
+        rho[near], sigma[near] = _near_classical_pairs(dim, t, *map(np.array, zip(*uniforms)))
+    return _each(_violation_gaps(rho, sigma, t, pinching(dim))[0], rho, sigma, t=t)
 
 
 def _second_fvg_scan() -> tuple[float, dict, tuple[str, ...]]:
@@ -829,8 +824,6 @@ def list_properties() -> dict[str, str]:
 
 
 def _witness_value(value):
-    if isinstance(value, DensityMatrix):
-        return matrix_to_json(value.mat)
     if isinstance(value, np.ndarray):
         return matrix_to_json(value)
     return value
@@ -846,22 +839,36 @@ _CHUNK_CAP = 256
 _CHUNK_ENTRIES = 2**14
 
 
+def _streams(rng: np.random.Generator, states) -> Iterable[np.random.Generator]:
+    """rng, set to each trial's state in turn as the iteration hands it out."""
+    for state in states:
+        rng.bit_generator.state = state
+        yield rng
+
+
 def _candidates(chunk_fn, dims: tuple[int, ...], n_samples: int, seed: int, t):
     """(trial, dim, candidate) in trial order; each trial runs on its own
-    generator and the dim its index picks, so it replays alone.  Each
-    chunk of trials is split by dim, one chunk_fn call per dim, and
-    merged back in trial order."""
+    stream and the dim its index picks, so it replays alone.  Each chunk
+    of trials is split by dim, one chunk_fn call per dim, and merged back
+    in trial order.
+
+    One pass seeds a chunk's trial streams, and every chunk_fn call
+    iterates one shared generator, set to trial k's stream as it is
+    handed out for trial k.  So a chunk function must finish trial k's
+    draws before it takes trial k+1's generator.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
     cap = min(_CHUNK_CAP, max(1, _CHUNK_ENTRIES // max(dims) ** 2))
     start, size = 0, 1
     while start < n_samples:
         trials = range(start, min(start + size, n_samples))
         use_dims = [dims[trial % len(dims)] for trial in trials]
+        states = _trial_states(seed, trials)
         per_dim = {}
         for dim in dict.fromkeys(use_dims):
             picked = [trial for trial, d in zip(trials, use_dims) if d == dim]
-            # made as the trials draw, so a chunk holds one generator at a time
-            rngs = (trial_rng(seed, trial) for trial in picked)
-            per_dim[dim] = iter(chunk_fn(rngs, dim, picked, t))
+            own = (state for state, d in zip(states, use_dims) if d == dim)
+            per_dim[dim] = iter(chunk_fn(_streams(rng, own), dim, picked, t))
         for trial, dim in zip(trials, use_dims):
             for cand in next(per_dim[dim]):
                 yield trial, dim, cand
@@ -1046,9 +1053,8 @@ def search_dpi_violation(
         raise ParamError(f"n_trials must be positive, got {n_trials}")
     for _, _, cand in _candidates(_dpi_chunk, (dim,), n_trials, rng_seed, t):
         if cand.violation > TOL.dpi_margin:
-            return _minimize_coherence(
-                cand.fields["rho"], cand.fields["sigma"], t, pinching(dim)
-            )
+            rho, sigma = (DensityMatrix._derived(cand.fields[k]) for k in ("rho", "sigma"))
+            return _minimize_coherence(rho, sigma, t, pinching(dim))
     return None
 
 

@@ -26,7 +26,6 @@ from specfid import (
     diagonal_spectral_fidelity,
     frac_power,
     geometric_mean,
-    is_psd,
     pinching,
     random_density,
     riccati_solution,
@@ -35,7 +34,6 @@ from specfid import (
     search_dpi_violation,
     spectral_fidelity,
     spectral_fidelity_curve,
-    support_projector,
     trace_norm,
     variational_objective,
     weighted_spectral_mean,
@@ -207,9 +205,8 @@ _ENTRY_POINTS = {
     "frac_power_half": lambda m: frac_power(m, 0.5),
     "frac_power_one": lambda m: frac_power(m, 1),
     "frac_power_zero": lambda m: frac_power(m, 0.0),
-    "support_projector": support_projector,
+    "frac_power_zero_support": lambda m: frac_power(m, 0.0, support_only=True),
     "trace_norm": trace_norm,
-    "is_psd": is_psd,
     "block_psd_a11": lambda m: block_psd(m, _EYE, _EYE),
     "block_psd_a22": lambda m: block_psd(_EYE, _EYE, m),
     "geometric_mean_a": lambda m: geometric_mean(m, _EYE),

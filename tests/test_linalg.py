@@ -11,8 +11,6 @@ from specfid import (
     block_psd,
     frac_power,
     hermitize,
-    is_psd,
-    support_projector,
     trace_norm,
 )
 from specfid.errors import DimensionMismatch
@@ -110,14 +108,14 @@ def test_support_cutoff_unit_floor_kills_noise_only_matrices():
     # A matrix that is zero up to rounding must have an empty support,
     # not a support made of noise eigenvalues.
     noise = np.diag([1e-17, 3e-16])
-    assert np.allclose(support_projector(noise), 0.0)
+    assert np.allclose(frac_power(noise, 0.0, support_only=True), 0.0)
     assert support_cutoff(np.array([1e-17, 3e-16])) == pytest.approx(1e-13)
 
 
 def test_support_cutoff_keeps_genuine_tiny_eigenvalues():
     # Well above eigensolver noise, far below the PSD acceptance scale.
     mat = np.diag([1e-11, 1.0])
-    proj = support_projector(mat)
+    proj = frac_power(mat, 0.0, support_only=True)
     assert np.allclose(proj, np.eye(2), atol=1e-14)
     root = frac_power(mat, 0.5, support_only=True)
     assert np.diag(root)[0] == pytest.approx(np.sqrt(1e-11))
@@ -143,11 +141,6 @@ def test_stacked_cutoffs_are_per_matrix():
 
 def test_trace_norm_signed_spectrum():
     assert trace_norm(np.diag([-3.0, 4.0])) == pytest.approx(7.0)
-
-
-def test_is_psd():
-    assert is_psd(np.diag([0.0, 1.0]))
-    assert not is_psd(np.diag([-1.0, 1.0]))
 
 
 def test_block_psd_known_cases():

@@ -22,6 +22,8 @@ from specfid import (
     trial_rng,
 )
 from specfid.errors import DimensionMismatch, ZeroVector
+from specfid.linalg import hermitize
+from specfid.states import _densities, _trial_states, _unitaries
 from specfid.verify import replay_reference_counterexample
 
 
@@ -87,6 +89,72 @@ def test_trial_rng_deterministic_and_split():
     c = trial_rng(42, 8).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _numpy_stream(seed, trial):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+
+
+# 2**32 and up take two or more entropy words, 2**32 + 3 as a trial too
+_TRIALS = (0, 1, 255, 256, 10**6, 2**32 + 3)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+def test_trial_streams_are_numpys_spawned_streams(seed):
+    # One seeding pass over many trials, and trial_rng, the pass over
+    # one, give each trial numpy's own stream for (seed, trial).
+    rng = np.random.Generator(np.random.PCG64(0))
+    for trial, state in zip(_TRIALS, _trial_states(seed, _TRIALS)):
+        ref = _numpy_stream(seed, trial)
+        assert state == ref.bit_generator.state
+        rng.bit_generator.state = state
+        assert np.array_equal(rng.standard_normal(6), ref.standard_normal(6))
+        alone = trial_rng(seed, trial)
+        ref = _numpy_stream(seed, trial)
+        assert alone.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(alone.integers(0, 1000, 6), ref.integers(0, 1000, 6))
+
+
+def test_trial_streams_reject_negative_trials():
+    with pytest.raises(ParamError, match="trial -1 must be non-negative"):
+        trial_rng(3, -1)
+
+
+def _bytes(mats) -> list[bytes]:
+    return [np.asarray(m).tobytes() for m in mats]
+
+
+@pytest.mark.parametrize("dim, rank", [(2, 2), (3, 3), (4, 1), (5, 2), (6, 6), (8, 8)])
+def test_stacked_draws_equal_the_one_draw_wrappers(dim, rank):
+    # Over more than 256 trials each stacked value is the one-draw value,
+    # byte for byte, and both are the per-draw formula written out; a
+    # trial's run of draws is one standard_normal call.
+    trials = range(300)
+
+    def gaussian(rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def density(rng, rank):
+        g = gaussian(rng, (dim, rank))
+        mat = g @ g.conj().T
+        return hermitize(mat / np.real(np.trace(mat)))
+
+    rho, sigma = _densities((trial_rng(5, k) for k in trials), dim, rank, dim)
+    pairs = [(trial_rng(5, k), trial_rng(5, k)) for k in trials]
+    one = [(random_density(dim, rank, a).mat, random_density(dim, dim, a).mat) for a, _ in pairs]
+    formula = [(density(b, rank), density(b, dim)) for _, b in pairs]
+    assert _bytes(rho) == _bytes(m for m, _ in one) == _bytes(m for m, _ in formula)
+    assert _bytes(sigma) == _bytes(m for _, m in one) == _bytes(m for _, m in formula)
+
+    def unitary(rng):
+        q, r = np.linalg.qr(gaussian(rng, (dim, dim)))
+        phases = np.diag(r).copy()
+        phases /= np.abs(phases)
+        return q * phases
+
+    stacked = _unitaries((trial_rng(6, k) for k in trials), dim)
+    one = [random_unitary(dim, trial_rng(6, k)) for k in trials]
+    assert _bytes(stacked) == _bytes(one) == _bytes(unitary(trial_rng(6, k)) for k in trials)
 
 
 def test_random_density_rank_and_trace():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from specfid import (
     t_sweep,
     trial_rng,
 )
+from specfid.linalg import hermitize
 from specfid.verify import (
     _CHUNK_CAP,
     _REFERENCE_RHO,
@@ -36,6 +38,7 @@ from specfid.verify import (
     _REGISTRY,
     _candidates,
     _minimize_coherence,
+    _pds,
 )
 
 REPORT_KEYS = ["property", "verdict", "max_violation", "witness", "seed", "samples"]
@@ -250,8 +253,8 @@ def test_search_bisects_the_first_violating_trial_of_the_suite(monkeypatch, t, d
         ((cand,),) = _REGISTRY["dpi_monotone"].chunk([trial_rng(seed, trial)], dim, [trial], t)
         if cand.violation > TOL.dpi_margin:
             break
-    assert np.array_equal(rho.mat, cand.fields["rho"].mat)
-    assert np.array_equal(sigma.mat, cand.fields["sigma"].mat)
+    assert np.array_equal(rho.mat, cand.fields["rho"])
+    assert np.array_equal(sigma.mat, cand.fields["sigma"])
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -492,6 +495,44 @@ def test_chunked_stream_equals_its_trials_one_by_one(property_id):
     assert list(by_trial) == list(range(n))
     for trial, cands in by_trial.items():
         _assert_same_candidates(cands, _alone(spec, seed, trial, dims[trial % 3], t))
+
+
+def test_a_chunk_of_mixed_dims_hands_each_trial_its_own_stream():
+    # Trials of three dims share each chunk's one seeding pass; every
+    # trial still sees numpy's stream for (seed, trial) as it starts.
+    seen = {}
+
+    def record(rngs, dim, trials, t):
+        for rng, trial in zip(rngs, trials):
+            seen[trial] = (dim, rng.bit_generator.state, rng.standard_normal(3))
+        return [[] for _ in trials]
+
+    seed = 2**32 + 1
+    list(_candidates(record, (2, 3, 5), 40, seed, None))
+    assert sorted(seen) == list(range(40))
+    for trial, (dim, state, draws) in seen.items():
+        ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+        assert dim == (2, 3, 5)[trial % 3]
+        assert state == ref.bit_generator.state
+        assert np.array_equal(draws, ref.standard_normal(3))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 8])
+def test_stacked_pd_draws_equal_the_one_draw_form(dim):
+    # A trial's pd draws are one standard_normal call; each stacked
+    # matrix, in a chunk or alone, is the per-draw formula's, byte for byte.
+    def pd(rng):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return hermitize(g @ g.conj().T / dim + 0.1 * np.eye(dim))
+
+    trials = range(300)
+    stacked = _pds((trial_rng(7, k) for k in trials), dim, dim)
+    alone = [_pds([rng], dim, dim) for rng in map(partial(trial_rng, 7), trials)]
+    formula = [(pd(rng), pd(rng)) for rng in map(partial(trial_rng, 7), trials)]
+    for k in (0, 1):
+        expected = [pair[k].tobytes() for pair in formula]
+        assert [m.tobytes() for m in stacked[k]] == expected
+        assert [pair[k][0].tobytes() for pair in alone] == expected
 
 
 def test_one_point_suites_read_the_midpoint_off_without_decomposing_x(monkeypatch):

@@ -40,7 +40,6 @@ from specfid import (
     search_dpi_violation,
     spectral_fidelity,
     spectral_fidelity_curve,
-    support_projector,
     tensor,
     trace_norm,
     uhlmann_fidelity,
@@ -64,6 +63,7 @@ CLI_RUNS = [
     _VERIFY + ["--seed", "42", "--dims", "3,5"],
     _VERIFY + ["--seed", "42", "--samples", "37"],
     _VERIFY + ["--seed", "5", "--dims", "2,4,6", "--samples", "300"],
+    _VERIFY + ["--seed", "4294967296", "--samples", "40"],
     _DPI + ["--t", "0.8"],
     _DPI + ["--t", "0.8", "--dims", "3"],
     _DPI + ["--t", "0.5", "--samples", "2000"],
@@ -156,7 +156,6 @@ def function_sweep() -> bytes:
                 lambda: weighted_spectral_mean(a, b, 1.0),
                 lambda: variational_objective(a, b, a + b),
                 lambda: trace_norm(a - b),
-                lambda: support_projector(a),
             ]
             calls += [
                 lambda alpha=alpha, only=only: frac_power(a, alpha, support_only=only)
