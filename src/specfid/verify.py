@@ -30,7 +30,6 @@ from .fidelity import (
     _spectral_fidelities,
     _uhlmann,
     diagonal_spectral_fidelity,
-    fvg_bounds,
     spectral_fidelity,
     spectral_fidelity_curve,
 )
@@ -451,10 +450,13 @@ def _separate_concavity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]
     n = len(LAMBDA_GRID)
     mixed = [hermitize(lam * r1 + (1.0 - lam) * r2) for lam in LAMBDA_GRID]
     # F(r1, s), F(r2, s), F(s, r1), F(s, r2), then F(mixed, s) and
-    # F(s, mixed) at each lam, for every trial from one call
-    left = np.stack([r1, r2, sigma, sigma, *mixed, *[sigma] * n], axis=1)
-    right = np.stack([sigma, sigma, r1, r2, *[sigma] * n, *mixed], axis=1)
-    f = _spectral_fidelities(left, right, [t])[..., 0]
+    # F(s, mixed) at each lam, for every trial, 6 pairs a call to bound
+    # the kernel's stacks
+    left = [r1, r2, sigma, sigma, *mixed, *[sigma] * n]
+    right = [sigma, sigma, r1, r2, *[sigma] * n, *mixed]
+    f = np.concatenate([
+        _spectral_fidelities(np.stack(left[k:k + 6], 1), np.stack(right[k:k + 6], 1), [t])[..., 0]
+        for k in range(0, len(left), 6)], axis=1)
     lam = np.array(LAMBDA_GRID)
     v1 = (lam * f[:, :1] + (1.0 - lam) * f[:, 1:2] - f[:, 4:4 + n]).tolist()
     v2 = (lam * f[:, 2:3] + (1.0 - lam) * f[:, 3:4] - f[:, 4 + n:]).tolist()
@@ -493,37 +495,46 @@ def _first_fvg_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
 
 
 def _variational_dominance_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
-    # Each trial's feasibility loop draws until it has 200 candidates that
-    # pass the block test, so it runs one trial at a time.
+    # Each trial draws until 200 shrinks of its maximizer, inside the
+    # maximizer's own frame, pass the block test, with a scalar shrink
+    # (feasible by construction, s^2 sigma <= sigma) as the fallback, so
+    # the trials run one at a time.  A draw is one standard_normal call
+    # (the unitary) and one random call (the d eigenvalues, then the
+    # scale).  A round tests up to 8 draws as one stack and keeps those
+    # before its first failure; the generator replays the round through
+    # it for the fallback's uniform, as a draw-by-draw loop reads it.
     t_grid = (0.1, 0.25, 0.4, 0.5) if t is None else (t,)
-    chunk = []
     for rng in rngs:
         rho, sigma = (stack[0] for stack in _densities([rng], dim, dim, dim))
         x_star = _mean(rho, sigma, riccati=True)[0]
         inv_rho = _inverse(rho)
         if not _block_psd(inv_rho, x_star, sigma):
-            chunk.append([Candidate(1.0, {"rho": rho, "sigma": sigma}, (1.0,))])
+            yield [Candidate(1.0, {"rho": rho, "sigma": sigma}, (1.0,))]
             continue
         root = power(*psd_eig(x_star), 0.5, support_only=False)
         targets = _spectral_fidelities(rho, sigma, t_grid)
         feasible = []
         while len(feasible) < 200:
-            # shrink the maximizer inside its own frame; a shrink is not
-            # automatically feasible, so each candidate must pass the
-            # block test, with a scalar shrink (feasible by construction,
-            # s^2 sigma <= sigma) as the fallback
-            u = random_unitary(dim, rng)
-            shrink = hermitize(u @ np.diag(rng.uniform(0.0, 1.0, dim)) @ u.conj().T)
-            cand = hermitize(float(rng.uniform(0.0, 1.0)) * root @ shrink @ root)
-            if not _block_psd(inv_rho, cand, sigma):
+            start, n = rng.bit_generator.state, min(8, 200 - len(feasible))
+            g, r = map(np.array, zip(*[(rng.standard_normal(2 * dim * dim), rng.random(dim + 1))
+                                       for _ in range(n)]))
+            u = _haar(_split_gaussians(g, [(dim, dim)])[0])
+            shrink = hermitize(u @ (r[:, :dim, None] * np.eye(dim)) @ u.conj().swapaxes(-1, -2))
+            cands = hermitize(r[:, dim, None, None] * root @ shrink @ root)
+            inv_rhos, sigmas = (np.broadcast_to(m, cands.shape) for m in (inv_rho, sigma))
+            cut = (_block_psd(inv_rhos, cands, sigmas).tolist() + [False]).index(False)
+            feasible.extend(cands[:cut])
+            if cut < n:
+                rng.bit_generator.state = start
+                for _ in range(cut + 1):
+                    rng.standard_normal(2 * dim * dim)
+                    rng.random(dim + 1)
                 cand = hermitize(float(rng.uniform(0.0, 1.0)) * x_star)
-                if not _block_psd(inv_rho, cand, sigma):
-                    continue
-            feasible.append(cand)
+                if _block_psd(inv_rho, cand, sigma):
+                    feasible.append(cand)
         gaps = (_power_traces(rho, np.array(feasible), t_grid) - targets).tolist()
-        chunk.append([Candidate(v, {"t": tg, "rho": rho, "sigma": sigma})
-                      for row in gaps for tg, v in zip(t_grid, row)])
-    return chunk
+        yield [Candidate(v, {"t": tg, "rho": rho, "sigma": sigma})
+               for row in gaps for tg, v in zip(t_grid, row)]
 
 
 def _variational_dominance_notes(t, peaks) -> tuple[str, ...]:
@@ -661,9 +672,8 @@ def _second_fvg_scan() -> tuple[float, dict, tuple[str, ...]]:
     region = []
     t_grid = tuple(round(0.05 * k, 10) for k in range(1, 20))
     c_grid = tuple(round(0.1 * k, 10) for k in range(1, 10))
-    for tg in t_grid:
-        for c in c_grid:
-            result = second_fvg_failure(tg, c)
+    for tg, row in zip(t_grid, _second_fvg(t_grid, c_grid)):
+        for c, result in zip(c_grid, row):
             v = result.half_trace_dist - result.rhs
             if result.violated:
                 region.append((tg, c))
@@ -829,12 +839,14 @@ def _witness_value(value):
     return value
 
 
-# Chunks grow 1, 2, 4, ... trials, so a search that stops at its first
-# trials evaluates few beyond them.  The cap bounds the memory of a long
-# stream's stacks: at most _CHUNK_CAP trials, and at the largest dim d at
-# most _CHUNK_ENTRIES // d**2, so a stack of one drawn d x d matrix per
-# trial holds at most _CHUNK_ENTRIES entries (4 trials at d = 64, where
-# stacking gains nothing anyway).
+# A suite takes chunks of the full cap from its first trial, the fewest
+# kernel calls; the DPI search, which stops at its first hit, ramps them
+# 1, 2, 4, ... to evaluate few trials beyond it.  The cap bounds memory:
+# at most _CHUNK_CAP trials, and at the largest dim d at most
+# _CHUNK_ENTRIES // d**2, so a stack of one d x d matrix per trial holds
+# at most _CHUNK_ENTRIES entries (4 trials at d = 64).  separate_concavity
+# evaluates its 22 pairs a trial 6 at a time, and variational_dominance
+# tests its sequential draws in rounds of 8, one stack per round.
 _CHUNK_CAP = 256
 _CHUNK_ENTRIES = 2**14
 
@@ -846,7 +858,7 @@ def _streams(rng: np.random.Generator, states) -> Iterable[np.random.Generator]:
         yield rng
 
 
-def _candidates(chunk_fn, dims: tuple[int, ...], n_samples: int, seed: int, t):
+def _candidates(chunk_fn, dims: tuple[int, ...], n_samples: int, seed: int, t, ramp=False):
     """(trial, dim, candidate) in trial order; each trial runs on its own
     stream and the dim its index picks, so it replays alone.  Each chunk
     of trials is split by dim, one chunk_fn call per dim, and merged back
@@ -859,7 +871,7 @@ def _candidates(chunk_fn, dims: tuple[int, ...], n_samples: int, seed: int, t):
     """
     rng = np.random.Generator(np.random.PCG64(0))
     cap = min(_CHUNK_CAP, max(1, _CHUNK_ENTRIES // max(dims) ** 2))
-    start, size = 0, 1
+    start, size = 0, 1 if ramp else cap
     while start < n_samples:
         trials = range(start, min(start + size, n_samples))
         use_dims = [dims[trial % len(dims)] for trial in trials]
@@ -1051,7 +1063,7 @@ def search_dpi_violation(
         raise ParamError(f"dimension {dim} must be at least 2")
     if n_trials < 1:
         raise ParamError(f"n_trials must be positive, got {n_trials}")
-    for _, _, cand in _candidates(_dpi_chunk, (dim,), n_trials, rng_seed, t):
+    for _, _, cand in _candidates(_dpi_chunk, (dim,), n_trials, rng_seed, t, ramp=True):
         if cand.violation > TOL.dpi_margin:
             rho, sigma = (DensityMatrix._derived(cand.fields[k]) for k in ("rho", "sigma"))
             return _minimize_coherence(rho, sigma, t, pinching(dim))
@@ -1068,24 +1080,37 @@ def second_fvg_failure(t: float, c: float) -> SecondFvgResult:
     """Evaluate the upper trace-distance comparison on a pure pair.
 
     Builds two pure states with overlap c, evaluates half the trace
-    distance and sqrt(1 - F_t^2) through fvg_bounds, and
-    cross-checks both against their closed forms sqrt(1 - c^2) and
-    sqrt(1 - c^{4t}).  violated reports whether the distance exceeds
-    the bound.
+    distance and sqrt(1 - F_t^2), and cross-checks both against their
+    closed forms sqrt(1 - c^2) and sqrt(1 - c^{4t}).  violated reports
+    whether the distance exceeds the bound.
     """
     if not 0.0 < c < 1.0:
         raise ParamError(f"overlap c = {c} outside (0, 1)")
     if not 0.0 <= t <= 1.0:
         raise ParamError(f"parameter t = {t} outside [0, 1]")
-    sine = math.sqrt(1.0 - c * c)
-    _, dist, rhs = fvg_bounds(pure_state((1.0, 0.0)), pure_state((c, sine)), t)
-    closed_rhs = math.sqrt(max(0.0, 1.0 - c ** (4.0 * t)))
-    if abs(dist - sine) > 1e-9 or abs(rhs - closed_rhs) > 1e-9:
-        raise ToleranceError(
-            f"machinery deviates from the closed forms: {dist!r} vs {sine!r}, "
-            f"{rhs!r} vs {closed_rhs!r}"
-        )
-    return SecondFvgResult(dist, rhs, dist > rhs + 1e-12)
+    return _second_fvg([float(t)], [c])[0][0]
+
+
+def _second_fvg(ts, cs) -> list[list[SecondFvgResult]]:
+    """second_fvg_failure at each t of a grid (rows) and overlap c (columns),
+    from one stack of pure pairs: one F_t call over the grid and one trace
+    norm call.  sqrt(1 - f * f) is taken in Python floats, as fvg_bounds
+    takes it: numpy's float64 square is one ulp off at some f."""
+    sines = [math.sqrt(1.0 - c * c) for c in cs]
+    rho = np.broadcast_to(pure_state((1.0, 0.0)).mat, (len(cs), 2, 2))
+    sigma = np.array([pure_state((c, sine)).mat for c, sine in zip(cs, sines)])
+    curves = _spectral_fidelities(rho, sigma, list(ts)).T.tolist()
+    dists = (0.5 * _trace_norm(hermitize(rho - sigma))).tolist()
+    rows = [[] for _ in ts]
+    for t, curve, row in zip(ts, curves, rows):
+        for c, sine, dist, f in zip(cs, sines, dists, curve):
+            rhs = math.sqrt(max(0.0, 1.0 - f * f))
+            closed_rhs = math.sqrt(max(0.0, 1.0 - c ** (4.0 * t)))
+            if abs(dist - sine) > 1e-9 or abs(rhs - closed_rhs) > 1e-9:
+                raise ToleranceError(f"machinery deviates from the closed forms: {dist!r} vs "
+                                     f"{sine!r}, {rhs!r} vs {closed_rhs!r}")
+            row.append(SecondFvgResult(dist, rhs, dist > rhs + 1e-12))
+    return rows
 
 
 class TSweepCurve(NamedTuple):

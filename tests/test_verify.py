@@ -22,6 +22,7 @@ from specfid import (
     pinching,
     pure_state,
     random_density,
+    random_unitary,
     replay_reference_counterexample,
     run_suite,
     search_dpi_violation,
@@ -30,15 +31,22 @@ from specfid import (
     t_sweep,
     trial_rng,
 )
-from specfid.linalg import hermitize
+from specfid.fidelity import _power_traces, _spectral_fidelities, fvg_bounds
+from specfid.linalg import _block_psd, hermitize, power, psd_eig
+from specfid.means import _mean
+from specfid.states import _densities
 from specfid.verify import (
     _CHUNK_CAP,
     _REFERENCE_RHO,
     _REFERENCE_SIGMA,
     _REGISTRY,
+    Candidate,
     _candidates,
+    _inverse,
     _minimize_coherence,
     _pds,
+    _second_fvg,
+    _second_fvg_scan,
 )
 
 REPORT_KEYS = ["property", "verdict", "max_violation", "witness", "seed", "samples"]
@@ -476,10 +484,10 @@ def _assert_same_candidates(stream, alone):
 
 @pytest.mark.parametrize("property_id", SAMPLED_SUITES)
 def test_chunked_stream_equals_its_trials_one_by_one(property_id):
-    # The stream crosses the chunk cap (a chunk boundary for
-    # variational_dominance, whose trials are slow) with three dims
-    # interleaved, so every chunk is split by dim; each candidate must
-    # be the one its trial gives as a chunk of one, bit for bit.
+    # The stream crosses the chunk cap (variational_dominance, whose
+    # trials are slow, runs one chunk) with three dims interleaved, so
+    # every chunk is split by dim; each candidate must be the one its
+    # trial gives as a chunk of one, bit for bit.
     spec = _REGISTRY[property_id]
     dims, seed = (2, 3, 5), 8
     n = 5 if property_id == "variational_dominance" else _CHUNK_CAP + 50
@@ -556,25 +564,128 @@ def test_one_point_suites_read_the_midpoint_off_without_decomposing_x(monkeypatc
 
 def test_large_dims_run_in_small_chunks(monkeypatch):
     # A chunk's stacks are bounded by matrix size: at d = 64 a chunk
-    # holds at most 2**14 // 64**2 = 4 trials, and each value is still
-    # the one its trial gives alone.
-    spec = _REGISTRY["endpoints"]
-    sizes = []
+    # holds at most 2**14 // 64**2 = 4 trials.  A suite takes full chunks
+    # from its first trial; the DPI search, which stops at its first hit,
+    # grows them 1, 2, 4, ... so it evaluates few trials beyond that hit.
+    # Each value is still the one its trial gives alone.
+    def recorded(chunk_fn, sizes, stream):
+        def chunk(rngs, dim, trials, t):
+            sizes.append(len(trials))
+            for trial, cands in zip(trials, chunk_fn(rngs, dim, trials, t)):
+                stream.append((trial, list(cands)))
+                yield cands
+        return chunk
 
-    def recorded(rngs, dim, trials, t):
-        sizes.append(len(trials))
-        return spec.chunk(rngs, dim, trials, t)
-
-    stream = list(_candidates(recorded, (64,), 11, 3, 0.5))
+    endpoints, dpi = _REGISTRY["endpoints"], _REGISTRY["dpi_monotone"]
+    sizes, stream = [], []
+    list(_candidates(recorded(endpoints.chunk, sizes, stream), (64,), 11, 3, 0.5))
+    assert sizes == [4, 4, 3]
+    assert [trial for trial, _ in stream] == list(range(11))
+    for trial, cands in stream:
+        _assert_same_candidates(cands, _alone(endpoints, 3, trial, 64, 0.5))
+    sizes, stream = [], []
+    monkeypatch.setattr(specfid.verify, "_dpi_chunk", recorded(dpi.chunk, sizes, stream))
+    assert search_dpi_violation(0.5, dim=64, n_trials=11, rng_seed=3) is None
     assert sizes == [1, 2, 4, 4]
-    for trial in range(11):
-        cands = [cand for k, _, cand in stream if k == trial]
-        _assert_same_candidates(cands, _alone(spec, 3, trial, 64, 0.5))
+    assert [trial for trial, _ in stream] == list(range(11))
+    for trial, cands in stream:
+        _assert_same_candidates(cands, _alone(dpi, 3, trial, 64, 0.5))
     # up to d = 8 the cap stays 256 trials, here split over two dims
     sizes.clear()
     list(_candidates(lambda rngs, dim, trials, t: sizes.append(len(trials)) or
                      [[] for _ in trials], (2, 8), 600, 3, 0.5))
     assert max(sizes) == _CHUNK_CAP // 2
+
+
+def _draw_by_draw(rng, dim, t):
+    """variational_dominance's trial as it ran before its feasibility loop
+    took rounds of draws: (candidates, feasible stack, fallbacks taken)."""
+    t_grid = (0.1, 0.25, 0.4, 0.5) if t is None else (t,)
+    rho, sigma = (stack[0] for stack in _densities([rng], dim, dim, dim))
+    x_star = _mean(rho, sigma, riccati=True)[0]
+    inv_rho = _inverse(rho)
+    if not _block_psd(inv_rho, x_star, sigma):
+        return [Candidate(1.0, {"rho": rho, "sigma": sigma}, (1.0,))], None, 0
+    root = power(*psd_eig(x_star), 0.5, support_only=False)
+    targets = _spectral_fidelities(rho, sigma, t_grid)
+    feasible, fallbacks = [], 0
+    while len(feasible) < 200:
+        u = random_unitary(dim, rng)
+        shrink = hermitize(u @ np.diag(rng.uniform(0.0, 1.0, dim)) @ u.conj().T)
+        cand = hermitize(float(rng.uniform(0.0, 1.0)) * root @ shrink @ root)
+        if not _block_psd(inv_rho, cand, sigma):
+            fallbacks += 1
+            cand = hermitize(float(rng.uniform(0.0, 1.0)) * x_star)
+            if not _block_psd(inv_rho, cand, sigma):
+                continue
+        feasible.append(cand)
+    gaps = (_power_traces(rho, np.array(feasible), t_grid) - targets).tolist()
+    cands = [Candidate(v, {"t": tg, "rho": rho, "sigma": sigma})
+             for row in gaps for tg, v in zip(t_grid, row)]
+    return cands, np.array(feasible), fallbacks
+
+
+@pytest.mark.parametrize("seed", [7, 42, 2**32])
+def test_feasibility_rounds_equal_the_draw_by_draw_loop(monkeypatch, seed):
+    # The rounds test up to 8 draws as one stack and replay the stream
+    # to the first failing one; the feasible candidates, and so every
+    # value, are the draw-by-draw loop's, byte for byte.  Over these
+    # trials the fallback fires, and some round is cut before its last
+    # draw.
+    spec = _REGISTRY["variational_dominance"]
+    feasible, cut = [], []
+
+    def record_feasible(rho, x, ts):
+        feasible.append(x)
+        return _power_traces(rho, x, ts)
+
+    def record_cut(a11, a12, a22):
+        passed = _block_psd(a11, a12, a22)
+        cut.append(passed.ndim > 0 and not passed[:-1].all())
+        return passed
+
+    monkeypatch.setattr(specfid.verify, "_power_traces", record_feasible)
+    monkeypatch.setattr(specfid.verify, "_block_psd", record_cut)
+    fallbacks = 0
+    for k, t in enumerate((None, 0.3, 0.45)):
+        for trial in range(5 * k, 5 * k + 5):
+            dim = 2 + trial % 5
+            feasible.clear()
+            (cands,) = spec.chunk([trial_rng(seed, trial)], dim, [trial], t)
+            ref, ref_feasible, n = _draw_by_draw(trial_rng(seed, trial), dim, t)
+            _assert_same_candidates(list(cands), ref)
+            assert feasible[0].tobytes() == ref_feasible.tobytes()
+            fallbacks += n
+    assert fallbacks > 0
+    assert any(cut)
+
+
+def test_stacked_second_fvg_scan_equals_its_points_one_by_one():
+    # The scan evaluates its 171 points from one stack of 9 pure pairs
+    # and one t-grid; each point, and so the worst value, its witness,
+    # the violating region and the notes, are those of one-point calls,
+    # whose distance and bound are fvg_bounds' on the same pair.
+    t_grid = tuple(round(0.05 * k, 10) for k in range(1, 20))
+    c_grid = tuple(round(0.1 * k, 10) for k in range(1, 10))
+    worst, witness, region, points = -1.0, {}, [], []
+    for tg in t_grid:
+        for c in c_grid:
+            result = second_fvg_failure(tg, c)
+            pair = pure_state((1.0, 0.0)), pure_state((c, math.sqrt(1.0 - c * c)))
+            assert result[:2] == fvg_bounds(*pair, tg)[1:]
+            points.append(result)
+            v = result.half_trace_dist - result.rhs
+            if result.violated:
+                region.append((tg, c))
+            if v > worst:
+                worst, witness = v, {"t": tg, "c": c}
+    stacked = [result for row in _second_fvg(t_grid, c_grid) for result in row]
+    assert stacked == points
+    assert [(tg, c) for tg in t_grid for c in c_grid
+            if stacked[t_grid.index(tg) * len(c_grid) + c_grid.index(c)].violated] == region
+    notes = (f"upper-bound violations on the pure-state grid: {len(region)} of "
+             f"{len(points)} points, all with t < 0.5",)
+    assert _second_fvg_scan() == (worst, witness, notes)
 
 
 @pytest.mark.xfail(

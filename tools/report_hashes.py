@@ -52,6 +52,7 @@ from specfid.serialize import dumps
 _PAIR = ["--bloch", "0.3,0.1,0.2", "--bloch", "0,0.5,0.4"]
 _VERIFY = ["verify", "--all", "--no-timestamp"]
 _DPI = ["dpi-search", "--no-timestamp"]
+_VD = ["verify", "variational_dominance", "--no-timestamp"]
 
 CLI_RUNS = [
     _VERIFY + ["--seed", "42"],
@@ -69,6 +70,8 @@ CLI_RUNS = [
     _DPI + ["--t", "0.5", "--samples", "2000"],
     _DPI + ["--t", "0.5", "--dims", "3", "--samples", "1000"],
     ["verify", "dpi_midpoint", "--no-timestamp", "--dims", "2,3,5", "--samples", "600"],
+    _VD + ["--seed", "7", "--dims", "2,3,4,5,6", "--samples", "30"],
+    _VD + ["--seed", "7", "--dims", "2,3,4,5,6", "--samples", "30", "--t", "0.45"],
     ["fidelity", "--no-timestamp", *_PAIR, "--all", "--alpha", "2", "--alpha", "0.5"],
     ["fidelity", "--no-timestamp", "--bloch", "0,0,1", "--bloch", "0.3,0.1,0.2"],
     ["fidelity", "--no-timestamp", "--bloch", "0.3,0.1,0.2", "--bloch", "0,0,1"],
