@@ -107,11 +107,16 @@ _MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _words(n: int, name: str) -> list[int]:
-    """The little-endian 32-bit words of a non-negative int; 0 is [0]."""
+def _non_negative(n: int, name: str) -> int:
     n = operator.index(n)
     if n < 0:
         raise ParamError(f"{name} {n} must be non-negative")
+    return n
+
+
+def _words(n: int, name: str) -> list[int]:
+    """The little-endian 32-bit words of a non-negative int; 0 is [0]."""
+    n = _non_negative(n, name)
     return [(n >> s) & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
 
 
@@ -157,12 +162,12 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
     Splitting keys the stream to (seed, trial), so trials are
     reproducible independently of evaluation order: it is numpy's
-    default_rng(SeedSequence(entropy=seed, spawn_key=(trial,))).  The
-    seed must be a non-negative integer.
+    default_rng(SeedSequence(entropy=seed, spawn_key=(trial,))), whose
+    stream _trial_states seeds for many trials at once.  Seed and trial
+    must be non-negative integers.
     """
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = _trial_states(seed, [trial])[0]
-    return rng
+    seed, trial = _non_negative(seed, "seed"), _non_negative(trial, "trial")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
 def _split_gaussians(rows, shapes) -> list[np.ndarray]:

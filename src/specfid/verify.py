@@ -3,12 +3,14 @@
 Each registered property samples random instances, measures the worst
 violation of one stated identity or inequality, and returns a
 machine-readable report.  A property is a chunk function that measures a
-chunk of instances of one dim at once; one trial stream, read by
-run_suite and the DPI search, runs the trials in chunks, each trial on a
-generator split off the seed by trial index.  Two families are expected
-to fail away from the midpoint (data processing, and the upper
-trace-distance bound); those report fails_as_predicted rather than
-unexpected.
+chunk of instances of one dim at once and returns each trial's row of
+values, a witness builder that run_suite calls for the winning point
+only, and the peaks that its notes report.  Each dim runs its own
+trials in chunks capped by that dim alone, each trial on numpy's
+generator for (seed, trial), so the report is that of a walk over every
+trial in order.  Two families are expected to fail away from the
+midpoint (data processing, and the upper trace-distance bound); those
+report fails_as_predicted rather than unexpected.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -125,19 +126,6 @@ class DPIWitness:
         }
 
 
-class Candidate(NamedTuple):
-    """One measured violation of a trial and the witness fields that locate it.
-
-    States and matrices among the fields are serialized only for the
-    candidate that ends up the suite's worst.  stats feed the suite's
-    notes, which see their elementwise peaks over every candidate.
-    """
-
-    violation: float
-    fields: dict
-    stats: tuple[float, ...] = ()
-
-
 # ---------------------------------------------------------------------------
 # sampling helpers
 
@@ -214,8 +202,13 @@ def _near_classical_pairs(dim: int, t: float, p: np.ndarray, delta: np.ndarray):
 #
 # A chunk function draws its trials' matrices as stacks and runs each
 # kernel once per chunk; every value equals the one its trial gives in a
-# chunk of one, bit for bit.  Witness fields hold the trial's rows of the
+# chunk of one, bit for bit.  It returns (rows, witness, peaks): rows[i]
+# holds trial i's violations, witness(i, j) the fields that locate point
+# j of trial i, and peaks the chunk's maxima of the statistics that the
+# suite's notes report.  Witness fields hold the trial's rows of the
 # stacks.  Fields that restate "dim" replace the sampled dim in the witness.
+
+_Chunk = tuple[list[list[float]], Callable[[int, int], dict], tuple[float, ...]]
 
 
 def _gm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,9 +219,9 @@ def _max_abs(mats: np.ndarray) -> list:
     return np.abs(mats).max(axis=(-2, -1)).tolist()
 
 
-def _own_t(trial: int) -> float:
-    """The point of T_GRID_11 that a trial of a one-point suite tests."""
-    return T_GRID_11[trial % len(T_GRID_11)]
+def _own_ts(trials) -> list[float]:
+    """The point of T_GRID_11 that each trial of a one-point suite tests."""
+    return [T_GRID_11[trial % len(T_GRID_11)] for trial in trials]
 
 
 def _own_t_fidelities(rho: np.ndarray, sigma: np.ndarray, trials) -> np.ndarray:
@@ -246,31 +239,25 @@ def _own_t_fidelities(rho: np.ndarray, sigma: np.ndarray, trials) -> np.ndarray:
     return values
 
 
-def _each(values, rho, sigma, **fields) -> Iterable[list[Candidate]]:
-    """One candidate per trial, located by its drawn pair as rho and sigma."""
-    return (
-        [Candidate(v, {**fields, "rho": r, "sigma": s})] for v, r, s in zip(values, rho, sigma)
-    )
+def _singles(values) -> list[list]:
+    """Rows of one value per trial."""
+    return [[v] for v in values]
 
 
-def _per_t(grids, rows, rho, sigma, **fields) -> Iterable[list[Candidate]]:
-    """One candidate per point of each trial's grid, from its row of values."""
-    return (
-        [Candidate(v, {**fields, "t": tg, "rho": r, "sigma": s}) for tg, v in zip(grid, row)]
-        for grid, row, r, s in zip(grids, rows, rho, sigma)
-    )
-
-
-def _at_own_t(trials, values, rho, sigma, **fields) -> Iterable[list[Candidate]]:
-    """One candidate per trial, at the trial's own t."""
-    return _per_t([[_own_t(trial)] for trial in trials], [[v] for v in values], rho, sigma, **fields)
+def _witness(rho, sigma, grid=None, own_ts=None, **fields) -> Callable[[int, int], dict]:
+    """witness(i, j) locating trial i by rho[i] and sigma[i], and its point
+    j by t = grid[j], or by own_ts[i], a one-point suite's t of trial i."""
+    def witness(i, j):
+        point = {"t": grid[j]} if grid else {"t": own_ts[i]} if own_ts else {}
+        return {**fields, **point, "rho": rho[i], "sigma": sigma[i]}
+    return witness
 
 
 # ---------------------------------------------------------------------------
 # operator-mean suites
 
 
-def _congruence_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _congruence_chunk(rngs, dim, trials, t) -> _Chunk:
     rows, congruences = [], []
     for rng in rngs:
         rows.append(rng.standard_normal(4 * dim * dim))
@@ -285,132 +272,126 @@ def _congruence_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
     c = np.array(congruences)
     ch = c.conj().swapaxes(-1, -2)
     lhs = _gm(hermitize(ch @ a @ c), hermitize(ch @ b @ c))
-    return _each(_max_abs(lhs - ch @ _gm(a, b) @ c), a, b)
+    return _singles(_max_abs(lhs - ch @ _gm(a, b) @ c)), _witness(a, b), ()
 
 
 def _inverse(mats: np.ndarray) -> np.ndarray:
     return power(*psd_eig(mats), -1.0, support_only=False)
 
 
-def _inverse_identity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _inverse_identity_chunk(rngs, dim, trials, t) -> _Chunk:
     a, b = _pds(rngs, dim, dim)
-    return _each(_max_abs(_inverse(_gm(a, b)) - _gm(_inverse(a), _inverse(b))), a, b)
+    gaps = _max_abs(_inverse(_gm(a, b)) - _gm(_inverse(a), _inverse(b)))
+    return _singles(gaps), _witness(a, b), ()
 
 
-def _tensor_compatibility_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _tensor_compatibility_chunk(rngs, dim, trials, t) -> _Chunk:
     a, b, c, d = _pds(rngs, dim, dim, 2, 2)
     lhs = _gm(hermitize(_kron(a, c)), hermitize(_kron(b, d)))
-    return _each(_max_abs(lhs - _kron(_gm(a, b), _gm(c, d))), a, b)
+    return _singles(_max_abs(lhs - _kron(_gm(a, b), _gm(c, d)))), _witness(a, b), ()
 
 
-def _support_identity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _support_identity_chunk(rngs, dim, trials, t) -> _Chunk:
     dim = max(3, dim)
     a, b, proj = map(np.array, zip(*[_basis_block_pair(dim, rng) for rng in rngs]))
     gaps = power(*psd_eig(_gm(a, b)), 0.0) - proj
-    return _each([float(np.linalg.norm(gap)) for gap in gaps], a, b, dim=dim)
+    return _singles([float(np.linalg.norm(gap)) for gap in gaps]), _witness(a, b, dim=dim), ()
 
 
-def _mean_flip_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _mean_flip_chunk(rngs, dim, trials, t) -> _Chunk:
     a, b = _pds(rngs, dim, dim)
     forward = _spectral_means(a, b, T_GRID_11)
     mirrored = _spectral_means(b, a, [1.0 - tg for tg in T_GRID_11])
-    return _per_t(repeat(T_GRID_11), _max_abs(forward - mirrored), a, b)
+    return _max_abs(forward - mirrored), _witness(a, b, T_GRID_11), ()
 
 
-def _spectral_eigenvalues_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _spectral_eigenvalues_chunk(rngs, dim, trials, t) -> _Chunk:
     a, b = _pds(rngs, dim, dim)
     lam_mean, _ = eig(_spectral_means(a, b, [0.5])[..., 0, :, :])
     lam_prod = np.sort(np.linalg.eigvals(a @ b).real, axis=-1)
     gaps = np.abs(lam_mean - np.sqrt(np.clip(lam_prod, 0, None))).max(axis=-1)
-    return _each(gaps.tolist(), a, b)
+    return _singles(gaps.tolist()), _witness(a, b), ()
 
 
-def _riccati_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _riccati_chunk(rngs, dim, trials, t) -> _Chunk:
     a, b = _pds(rngs, dim, dim)
     x = _mean(a, b, riccati=True)[0]
-    return _each(_max_abs(x @ a @ x - b), a, b)
+    return _singles(_max_abs(x @ a @ x - b)), _witness(a, b), ()
 
 
-def _variational_minimizer_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _variational_minimizer_chunk(rngs, dim, trials, t) -> _Chunk:
     a, b, *others = _pds(rngs, *[dim] * 22)
     base = _variational_objective(a, b, _mean(a, b, riccati=True)[0])
     gaps = base[:, None] - _variational_objective(a[:, None], b[:, None], np.stack(others, 1))
-    return (
-        [Candidate(v, {"rho": r, "sigma": s}) for v in row]
-        for row, r, s in zip(gaps.tolist(), a, b)
-    )
+    return gaps.tolist(), _witness(a, b), ()
 
 
 # ---------------------------------------------------------------------------
 # fidelity suites
 
 
-def _midpoint_uhlmann_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _midpoint_uhlmann_chunk(rngs, dim, trials, t) -> _Chunk:
     rho, sigma = _densities(rngs, dim, dim, dim)
     mid = _spectral_fidelities(rho, sigma, [0.5])[:, 0]
-    return _each(np.abs(mid - _uhlmann(rho, sigma)).tolist(), rho, sigma)
+    return _singles(np.abs(mid - _uhlmann(rho, sigma)).tolist()), _witness(rho, sigma), ()
 
 
-def _endpoints_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _endpoints_chunk(rngs, dim, trials, t) -> _Chunk:
     rho, sigma = _densities(rngs, dim, dim, dim)
     ends = _spectral_fidelities(rho, sigma, (0.0, 1.0))
-    return _each(np.abs(ends - 1.0).max(axis=-1).tolist(), rho, sigma)
+    return _singles(np.abs(ends - 1.0).max(axis=-1).tolist()), _witness(rho, sigma), ()
 
 
-def _flip_symmetry_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _flip_symmetry_chunk(rngs, dim, trials, t) -> _Chunk:
     rho, sigma = _densities(rngs, dim, dim, dim)
     forward = _spectral_fidelities(rho, sigma, T_GRID_11)
     mirrored = _spectral_fidelities(sigma, rho, [1.0 - tg for tg in T_GRID_11])
-    return _per_t(repeat(T_GRID_11), np.abs(forward - mirrored).tolist(), rho, sigma)
+    return np.abs(forward - mirrored).tolist(), _witness(rho, sigma, T_GRID_11), ()
 
 
-def _multiplicativity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _multiplicativity_chunk(rngs, dim, trials, t) -> _Chunk:
     r1, s1, r2, s2 = map(_gram, _gaussians(rngs, (2, 2), (2, 2), (dim, dim), (dim, dim)))
     joint = _own_t_fidelities(hermitize(_kron(r1, r2)), hermitize(_kron(s1, s2)), trials)
     parts = _own_t_fidelities(r1, s1, trials) * _own_t_fidelities(r2, s2, trials)
-    return _at_own_t(trials, np.abs(joint - parts).tolist(), r1, s1, dim=2 * dim)
+    witness = _witness(r1, s1, own_ts=_own_ts(trials), dim=2 * dim)
+    return _singles(np.abs(joint - parts).tolist()), witness, ()
 
 
-def _unitary_invariance_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _unitary_invariance_chunk(rngs, dim, trials, t) -> _Chunk:
     g_rho, g_sigma, g_u = _gaussians(rngs, *[(dim, dim)] * 3)
     rho, sigma, u = _gram(g_rho), _gram(g_sigma), _haar(g_u)
     uh = u.conj().swapaxes(-1, -2)
     turned = _own_t_fidelities(hermitize(u @ rho @ uh), hermitize(u @ sigma @ uh), trials)
     gaps = np.abs(turned - _own_t_fidelities(rho, sigma, trials))
-    return _at_own_t(trials, gaps.tolist(), rho, sigma)
+    return _singles(gaps.tolist()), _witness(rho, sigma, own_ts=_own_ts(trials)), ()
 
 
-def _tensor_stabilization_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _tensor_stabilization_chunk(rngs, dim, trials, t) -> _Chunk:
     rho, sigma, tau = map(_gram, _gaussians(rngs, (dim, dim), (dim, dim), (2, 2)))
     joint = _own_t_fidelities(hermitize(_kron(rho, tau)), hermitize(_kron(sigma, tau)), trials)
     gaps = np.abs(joint - _own_t_fidelities(rho, sigma, trials))
-    return _at_own_t(trials, gaps.tolist(), rho, sigma)
+    return _singles(gaps.tolist()), _witness(rho, sigma, own_ts=_own_ts(trials)), ()
 
 
-def _universal_bound_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _universal_bound_chunk(rngs, dim, trials, t) -> _Chunk:
     rho, sigma = _densities(rngs, dim, dim, dim)
     curves = _spectral_fidelities(rho, sigma, T_GRID_21)
-    return _per_t(repeat(T_GRID_21), (curves - 1.0).tolist(), rho, sigma)
+    return (curves - 1.0).tolist(), _witness(rho, sigma, T_GRID_21), ()
 
 
-def _midpoint_minimum_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _midpoint_minimum_chunk(rngs, dim, trials, t) -> _Chunk:
     # The claim F_t >= F_{1/2} on each single pair is refuted: the curve
     # is log-convex but not symmetric about t = 1/2 (the argument flip
     # maps t to 1 - t only with the pair swapped), so its minimum sits
     # wherever the pair puts it.  Already false for commuting pairs,
     # e.g. diag(0.99, 0.01) vs I/2 at t = 0.6.  What log-convexity does
     # give is the symmetrized bound F_t * F_{1-t} >= F_{1/2}^2, tracked
-    # alongside as a stat and reported in the notes.
+    # alongside as a peak and reported in the notes.
     rho, sigma = _densities(rngs, dim, dim, dim)
     curves = _spectral_fidelities(rho, sigma, T_GRID_21)
     mid = curves[:, _MID_21, None]
-    dips = (mid - curves).tolist()
-    syms = (mid * mid - curves * curves[:, ::-1]).tolist()
-    return (
-        [Candidate(v, {"t": tg, "rho": r, "sigma": s}, (m,))
-         for tg, v, m in zip(T_GRID_21, dip, sym)]
-        for dip, sym, r, s in zip(dips, syms, rho, sigma)
-    )
+    syms = mid * mid - curves * curves[:, ::-1]
+    return (mid - curves).tolist(), _witness(rho, sigma, T_GRID_21), (syms.max().item(),)
 
 
 def _midpoint_minimum_notes(t, peaks) -> tuple[str, ...]:
@@ -432,20 +413,20 @@ def _second_differences(v: np.ndarray) -> np.ndarray:
     return v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]
 
 
-def _convexity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _convexity_chunk(rngs, dim, trials, t) -> _Chunk:
     rho, sigma = _densities(rngs, dim, dim, dim)
     curves = _spectral_fidelities(rho, sigma, T_GRID_21)
-    return _each((-_second_differences(curves).min(axis=-1)).tolist(), rho, sigma)
+    return _singles((-_second_differences(curves).min(axis=-1)).tolist()), _witness(rho, sigma), ()
 
 
-def _log_convexity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _log_convexity_chunk(rngs, dim, trials, t) -> _Chunk:
     rho, sigma = _densities(rngs, dim, dim, dim)
     curves = _spectral_fidelities(rho, sigma, T_GRID_21).tolist()
     logs = np.array([list(map(math.log, curve)) for curve in curves])
-    return _each((-_second_differences(logs).min(axis=-1)).tolist(), rho, sigma)
+    return _singles((-_second_differences(logs).min(axis=-1)).tolist()), _witness(rho, sigma), ()
 
 
-def _separate_concavity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _separate_concavity_chunk(rngs, dim, trials, t) -> _Chunk:
     r1, r2, sigma = _densities(rngs, dim, dim, dim, dim)
     n = len(LAMBDA_GRID)
     mixed = [hermitize(lam * r1 + (1.0 - lam) * r2) for lam in LAMBDA_GRID]
@@ -458,14 +439,15 @@ def _separate_concavity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]
         _spectral_fidelities(np.stack(left[k:k + 6], 1), np.stack(right[k:k + 6], 1), [t])[..., 0]
         for k in range(0, len(left), 6)], axis=1)
     lam = np.array(LAMBDA_GRID)
-    v1 = (lam * f[:, :1] + (1.0 - lam) * f[:, 1:2] - f[:, 4:4 + n]).tolist()
-    v2 = (lam * f[:, 2:3] + (1.0 - lam) * f[:, 3:4] - f[:, 4 + n:]).tolist()
-    # the witness locates the trial by its first pair, r1 and r2
-    return (
-        [Candidate(max(a, b), {"t": t, "lam": lg, "rho": x, "sigma": y}, (a, b))
-         for lg, a, b in zip(LAMBDA_GRID, row1, row2)]
-        for row1, row2, x, y in zip(v1, v2, r1, r2)
-    )
+    v1 = lam * f[:, :1] + (1.0 - lam) * f[:, 1:2] - f[:, 4:4 + n]
+    v2 = lam * f[:, 2:3] + (1.0 - lam) * f[:, 3:4] - f[:, 4 + n:]
+    rows = [list(map(max, row1, row2)) for row1, row2 in zip(v1.tolist(), v2.tolist())]
+
+    def witness(i, j):
+        # the witness locates the trial by its first pair, r1 and r2
+        return {"t": t, "lam": LAMBDA_GRID[j], "rho": r1[i], "sigma": r2[i]}
+
+    return rows, witness, (v1.max().item(), v2.max().item())
 
 
 def _separate_concavity_notes(t, peaks) -> tuple[str, ...]:
@@ -482,7 +464,7 @@ def _separate_concavity_notes(t, peaks) -> tuple[str, ...]:
     )
 
 
-def _first_fvg_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _first_fvg_chunk(rngs, dim, trials, t) -> _Chunk:
     ranks, rows = [], []
     for rng, trial in zip(rngs, trials):
         rank = dim if trial % 2 else int(rng.integers(1, dim + 1))
@@ -491,10 +473,10 @@ def _first_fvg_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
     rho, sigma = _ranked_densities(dim, ranks, rows)
     dist = 0.5 * _trace_norm(hermitize(rho - sigma))
     gaps = (1.0 - _spectral_fidelities(rho, sigma, T_GRID_11)) - dist[:, None]
-    return _per_t(repeat(T_GRID_11), gaps.tolist(), rho, sigma)
+    return gaps.tolist(), _witness(rho, sigma, T_GRID_11), ()
 
 
-def _variational_dominance_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _variational_dominance_chunk(rngs, dim, trials, t) -> _Chunk:
     # Each trial draws until 200 shrinks of its maximizer, inside the
     # maximizer's own frame, pass the block test, with a scalar shrink
     # (feasible by construction, s^2 sigma <= sigma) as the fallback, so
@@ -503,13 +485,18 @@ def _variational_dominance_chunk(rngs, dim, trials, t) -> Iterable[list[Candidat
     # scale).  A round tests up to 8 draws as one stack and keeps those
     # before its first failure; the generator replays the round through
     # it for the fallback's uniform, as a draw-by-draw loop reads it.
+    # A maximizer that fails the block test is trial i's one value, 1.0,
+    # located without a t.
     t_grid = (0.1, 0.25, 0.4, 0.5) if t is None else (t,)
+    rows, pairs, failed = [], [], []
     for rng in rngs:
         rho, sigma = (stack[0] for stack in _densities([rng], dim, dim, dim))
+        pairs.append((rho, sigma))
         x_star = _mean(rho, sigma, riccati=True)[0]
         inv_rho = _inverse(rho)
         if not _block_psd(inv_rho, x_star, sigma):
-            yield [Candidate(1.0, {"rho": rho, "sigma": sigma}, (1.0,))]
+            failed.append(len(rows))
+            rows.append([1.0])
             continue
         root = power(*psd_eig(x_star), 0.5, support_only=False)
         targets = _spectral_fidelities(rho, sigma, t_grid)
@@ -532,46 +519,53 @@ def _variational_dominance_chunk(rngs, dim, trials, t) -> Iterable[list[Candidat
                 cand = hermitize(float(rng.uniform(0.0, 1.0)) * x_star)
                 if _block_psd(inv_rho, cand, sigma):
                     feasible.append(cand)
-        gaps = (_power_traces(rho, np.array(feasible), t_grid) - targets).tolist()
-        yield [Candidate(v, {"t": tg, "rho": rho, "sigma": sigma})
-               for row in gaps for tg, v in zip(t_grid, row)]
+        gaps = _power_traces(rho, np.array(feasible), t_grid) - targets
+        rows.append(gaps.ravel().tolist())
+
+    def witness(i, j):
+        point = {} if i in failed else {"t": t_grid[j % len(t_grid)]}
+        return {**point, "rho": pairs[i][0], "sigma": pairs[i][1]}
+
+    return rows, witness, (1.0,) if failed else ()
 
 
 def _variational_dominance_notes(t, peaks) -> tuple[str, ...]:
-    # only a maximizer that fails the block test reports a stat
+    # only a maximizer that fails the block test reports a peak
     return ("maximizer failed the block feasibility test",) if peaks else ()
 
 
-def _zero_condition_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _zero_condition_chunk(rngs, dim, trials, t) -> _Chunk:
     dim = max(2, dim // 2)
     rho, sigma = _orthogonal_pairs(rngs, dim, dim)
-    values = _spectral_fidelities(rho, sigma, (0.1, 0.5, 1.0)).tolist()
-    return _per_t(repeat((0.1, 0.5, 1.0)), values, rho, sigma, dim=2 * dim)
+    grid = (0.1, 0.5, 1.0)
+    values = _spectral_fidelities(rho, sigma, grid).tolist()
+    return values, _witness(rho, sigma, grid, dim=2 * dim), ()
 
 
-def _positivity_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _positivity_chunk(rngs, dim, trials, t) -> _Chunk:
     ranks = [(1 if trial % 2 else dim, dim) for trial in trials]
     rows = [rng.standard_normal(2 * dim * sum(rank)) for rng, rank in zip(rngs, ranks)]
     rho, sigma = _ranked_densities(dim, ranks, rows)
     curves = _spectral_fidelities(rho, sigma, T_GRID_11)
     values = np.where(curves <= 0.0, 1.0 - curves, 0.0).tolist()
-    return _per_t(repeat(T_GRID_11), values, rho, sigma)
+    return values, _witness(rho, sigma, T_GRID_11), ()
 
 
-def _closed_form_chunk(rngs, dim, trials, t, pure_rho: bool) -> Iterable[list[Candidate]]:
+def _closed_form_chunk(rngs, dim, trials, t, pure_rho: bool) -> _Chunk:
     # a rank-one rho reduces F_t to c^t, a rank-one sigma to c^(1 - t),
     # with c the overlap Tr[pure mixed]
     rho, sigma = _densities(rngs, dim, *((1, dim) if pure_rho else (dim, 1)))
     values = _own_t_fidelities(rho, sigma, trials).tolist()
     overlaps = real_trace(rho @ sigma if pure_rho else sigma @ rho).tolist()
+    ts = _own_ts(trials)
     gaps = [
-        abs(f - max(c, 0.0) ** (_own_t(trial) if pure_rho else 1.0 - _own_t(trial)))
-        for f, c, trial in zip(values, overlaps, trials)
+        abs(f - max(c, 0.0) ** (tg if pure_rho else 1.0 - tg))
+        for f, c, tg in zip(values, overlaps, ts)
     ]
-    return _at_own_t(trials, gaps, rho, sigma)
+    return _singles(gaps), _witness(rho, sigma, own_ts=ts), ()
 
 
-def _bloch_closed_forms_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _bloch_closed_forms_chunk(rngs, dim, trials, t) -> _Chunk:
     vectors, overlaps = [], []
     for rng, trial in zip(rngs, trials):
         r, s = rng.standard_normal((2, 3))
@@ -584,18 +578,19 @@ def _bloch_closed_forms_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]
         overlaps.append(0.5 * (1.0 + float(r @ s)))
     rho, sigma = (hermitize(_bloch_matrix(v)) for v in np.array(vectors).swapaxes(0, 1))
     values = _own_t_fidelities(rho, sigma, trials).tolist()
+    ts = _own_ts(trials)
     gaps = []
-    for f, u, m, c, trial in zip(values, _uhlmann(rho, sigma).tolist(),
-                                 real_trace(_gm(rho, sigma)).tolist(), overlaps, trials):
-        v = max(abs(f - c ** _own_t(trial)), abs(u - math.sqrt(c)))
+    for f, u, m, c, tg in zip(values, _uhlmann(rho, sigma).tolist(),
+                              real_trace(_gm(rho, sigma)).tolist(), overlaps, ts):
+        v = max(abs(f - c ** tg), abs(u - math.sqrt(c)))
         gaps.append(max(v, abs(m - math.sqrt(c))))
-    return _at_own_t(trials, gaps, rho, sigma, dim=2)
+    return _singles(gaps), _witness(rho, sigma, own_ts=ts, dim=2), ()
 
 
 _INNER_GRID = tuple(round(0.05 + 0.09 * k, 10) for k in range(11))
 
 
-def _classicalization_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _classicalization_chunk(rngs, dim, trials, t) -> _Chunk:
     ps, qs, grids = [], [], []
     for rng, trial in zip(rngs, trials):
         p = rng.dirichlet(np.ones(dim))
@@ -613,25 +608,26 @@ def _classicalization_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
     # on the grid around it
     rho, sigma = (np.array(v)[:, :, None] * np.eye(dim, dtype=complex) for v in (ps, qs))
     curves = _spectral_fidelities(rho, sigma, T_GRID_11 + _INNER_GRID)
+    rows = []
     for curve, p, q, grid in zip(curves.tolist(), ps, qs, grids):
-        fields = {"p": p.tolist(), "q": q.tolist()}
         values = curve[len(T_GRID_11):] if grid is _INNER_GRID else curve
-        yield [
-            Candidate(abs(f - diagonal_spectral_fidelity(p, q, tg).value), {**fields, "t": tg})
-            for tg, f in zip(grid, values)
-        ]
+        rows.append([abs(f - diagonal_spectral_fidelity(p, q, tg).value)
+                     for tg, f in zip(grid, values)])
+
+    def witness(i, j):
+        return {"p": ps[i].tolist(), "q": qs[i].tolist(), "t": grids[i][j]}
+
+    return rows, witness, ()
 
 
-def _renyi_midpoint_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _renyi_midpoint_chunk(rngs, dim, trials, t) -> _Chunk:
     rho, sigma = _densities(rngs, dim, dim, dim)
     d_half = [_renyi(tr, 0.5) for tr in _sandwich_traces(psd_eig(sigma), rho, 0.5, 0.5).tolist()]
     uhlmann = _uhlmann(rho, sigma).tolist()
     affinity = real_trace(power(*psd_eig(rho), 0.5) @ power(*psd_eig(sigma), 0.5)).tolist()
-    return (
-        [Candidate(abs(dh + 2.0 * math.log(u)), {"rho": r, "sigma": s},
-                   (abs(dh + 2.0 * math.log(aff)),))]
-        for dh, u, aff, r, s in zip(d_half, uhlmann, affinity, rho, sigma)
-    )
+    gaps = [abs(dh + 2.0 * math.log(u)) for dh, u in zip(d_half, uhlmann)]
+    affinity_gap = max(abs(dh + 2.0 * math.log(aff)) for dh, aff in zip(d_half, affinity))
+    return _singles(gaps), _witness(rho, sigma), (affinity_gap,)
 
 
 def _renyi_midpoint_notes(t, peaks) -> tuple[str, ...]:
@@ -644,7 +640,7 @@ def _renyi_midpoint_notes(t, peaks) -> tuple[str, ...]:
     )
 
 
-def _dpi_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
+def _dpi_chunk(rngs, dim, trials, t) -> _Chunk:
     # Trial k draws by k % 3 from one of three ensembles: Haar pure pairs
     # (productive below the midpoint), Ginibre mixed pairs (productive on
     # both sides), and the near-classical pairs of two uniforms each.
@@ -664,7 +660,8 @@ def _dpi_chunk(rngs, dim, trials, t) -> Iterable[list[Candidate]]:
         rho[~near], sigma[~near] = _ranked_densities(dim, ranks, rows)
     if uniforms:
         rho[near], sigma[near] = _near_classical_pairs(dim, t, *map(np.array, zip(*uniforms)))
-    return _each(_violation_gaps(rho, sigma, t, pinching(dim))[0], rho, sigma, t=t)
+    gaps = _violation_gaps(rho, sigma, t, pinching(dim))[0]
+    return _singles(gaps), _witness(rho, sigma, t=t), ()
 
 
 def _second_fvg_scan() -> tuple[float, dict, tuple[str, ...]]:
@@ -696,8 +693,7 @@ def _second_fvg_scan() -> tuple[float, dict, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class PropertySpec:
-    # chunk(rngs, dim, trials, t) -> one list of Candidates per trial, in
-    # trial order, as any iterable
+    # chunk(rngs, dim, trials, t) -> (rows, witness, peaks) of these trials
     chunk: Callable | None
     # A callable is read when the suite runs, so tolerance overrides apply.
     tolerance: float | Callable[[], float]
@@ -707,7 +703,7 @@ class PropertySpec:
     summary: str
     # the t a trial sees when the run gives none
     t: float | None = None
-    # fixed notes, or notes(t, peaks) from the peaks of the candidates' stats
+    # fixed notes, or notes(t, peaks) from the peaks over every chunk
     notes: tuple[str, ...] | Callable = ()
     # a suite without trials scans once instead: () -> (worst, witness, notes)
     scan: Callable | None = None
@@ -833,20 +829,16 @@ def list_properties() -> dict[str, str]:
     return {name: spec.summary for name, spec in _REGISTRY.items()}
 
 
-def _witness_value(value):
-    if isinstance(value, np.ndarray):
-        return matrix_to_json(value)
-    return value
-
-
-# A suite takes chunks of the full cap from its first trial, the fewest
-# kernel calls; the DPI search, which stops at its first hit, ramps them
-# 1, 2, 4, ... to evaluate few trials beyond it.  The cap bounds memory:
-# at most _CHUNK_CAP trials, and at the largest dim d at most
-# _CHUNK_ENTRIES // d**2, so a stack of one d x d matrix per trial holds
-# at most _CHUNK_ENTRIES entries (4 trials at d = 64).  separate_concavity
-# evaluates its 22 pairs a trial 6 at a time, and variational_dominance
-# tests its sequential draws in rounds of 8, one stack per round.
+# Each distinct dim runs its own trials, those whose index picks it, in
+# chunks from its first trial.  A suite takes chunks of the full cap, the
+# fewest kernel calls; the DPI search, which stops at its first hit,
+# ramps them 1, 2, 4, ... to evaluate few trials beyond it.  The cap
+# bounds memory: at most _CHUNK_CAP trials, and at most
+# _CHUNK_ENTRIES // d**2 at the chunk's dim d, so a stack of one d x d
+# matrix per trial holds at most _CHUNK_ENTRIES entries (4 trials at
+# d = 64).  separate_concavity evaluates its 22 pairs a trial 6 at a
+# time, and variational_dominance tests its sequential draws in rounds
+# of 8, one stack per round.
 _CHUNK_CAP = 256
 _CHUNK_ENTRIES = 2**14
 
@@ -858,55 +850,53 @@ def _streams(rng: np.random.Generator, states) -> Iterable[np.random.Generator]:
         yield rng
 
 
-def _candidates(chunk_fn, dims: tuple[int, ...], n_samples: int, seed: int, t, ramp=False):
-    """(trial, dim, candidate) in trial order; each trial runs on its own
-    stream and the dim its index picks, so it replays alone.  Each chunk
-    of trials is split by dim, one chunk_fn call per dim, and merged back
-    in trial order.
+def _chunks(chunk_fn, dims: tuple[int, ...], n_samples: int, seed: int, t, ramp=False):
+    """(dim, trials, chunk_fn's result) for each chunk of each dim's
+    trials; each trial runs on its own stream and the dim its index
+    picks, so it replays alone.
 
-    One pass seeds a chunk's trial streams, and every chunk_fn call
-    iterates one shared generator, set to trial k's stream as it is
-    handed out for trial k.  So a chunk function must finish trial k's
-    draws before it takes trial k+1's generator.
+    One pass seeds a chunk's trial streams, and chunk_fn iterates one
+    shared generator, set to trial k's stream as it is handed out for
+    trial k.  So a chunk function must finish trial k's draws before it
+    takes trial k+1's generator.
     """
     rng = np.random.Generator(np.random.PCG64(0))
-    cap = min(_CHUNK_CAP, max(1, _CHUNK_ENTRIES // max(dims) ** 2))
-    start, size = 0, 1 if ramp else cap
-    while start < n_samples:
-        trials = range(start, min(start + size, n_samples))
-        use_dims = [dims[trial % len(dims)] for trial in trials]
-        states = _trial_states(seed, trials)
-        per_dim = {}
-        for dim in dict.fromkeys(use_dims):
-            picked = [trial for trial, d in zip(trials, use_dims) if d == dim]
-            own = (state for state, d in zip(states, use_dims) if d == dim)
-            per_dim[dim] = iter(chunk_fn(_streams(rng, own), dim, picked, t))
-        for trial, dim in zip(trials, use_dims):
-            for cand in next(per_dim[dim]):
-                yield trial, dim, cand
-        start, size = trials.stop, min(2 * size, cap)
+    for dim in dict.fromkeys(dims):
+        own = [trial for trial in range(n_samples) if dims[trial % len(dims)] == dim]
+        cap = min(_CHUNK_CAP, max(1, _CHUNK_ENTRIES // dim**2))
+        start, size = 0, 1 if ramp else cap
+        while start < len(own):
+            trials = own[start:start + size]
+            yield dim, trials, chunk_fn(_streams(rng, _trial_states(seed, trials)), dim, trials, t)
+            start, size = start + size, min(2 * size, cap)
 
 
 def _run_trials(
     spec: PropertySpec, dims: tuple[int, ...], n_samples: int, seed: int, t
 ) -> tuple[float, dict, tuple[str, ...]]:
-    """The first strictly greatest candidate of the stream wins.
-
-    A candidate must beat -1 to become the witness.
+    """The winner has the greatest value, then the earliest trial, then
+    the earliest point, as the first strictly greatest of a walk over
+    every trial in order; a NaN never wins, and a value must beat -1.
+    Only the winner's witness is built.
     """
-    worst, found, peaks = -1.0, None, None
-    for trial, dim, cand in _candidates(spec.chunk, dims, n_samples, seed, t):
-        if cand.violation > worst:
-            worst, found = cand.violation, (trial, dim, cand.fields)
-        if cand.stats:
-            peaks = cand.stats if peaks is None else tuple(map(max, peaks, cand.stats))
+    worst, found, peaks = -1.0, None, ()
+    for dim, trials, (rows, witness, chunk_peaks) in _chunks(spec.chunk, dims, n_samples, seed, t):
+        for i, row in enumerate(rows):
+            top = max(row, default=math.nan)
+            if top != top:
+                # max keeps a leading NaN; look past it
+                top = max((v for v in row if v == v), default=math.nan)
+            if top > worst or top == worst and found and trials[i] < found[0]:
+                worst, found = top, (trials[i], dim, witness, i, row.index(top))
+        if chunk_peaks:
+            peaks = tuple(map(max, peaks, chunk_peaks)) if peaks else chunk_peaks
     notes = spec.notes(t, peaks) if callable(spec.notes) else spec.notes
-    witness = {}
-    if found is not None:
-        trial, dim, fields = found
-        witness = {"trial": trial, "dim": dim, **fields}
-        witness = {key: _witness_value(value) for key, value in witness.items()}
-    return worst, witness, notes
+    if found is None:
+        return worst, {}, notes
+    trial, dim, fields, i, j = found
+    witness = {"trial": trial, "dim": dim, **fields(i, j)}
+    return worst, {k: matrix_to_json(v) if isinstance(v, np.ndarray) else v
+                   for k, v in witness.items()}, notes
 
 
 def run_suite(
@@ -933,6 +923,8 @@ def run_suite(
     if use_samples < 1:
         raise ParamError(f"samples must be positive, got {use_samples}")
     use_t = spec.t if t is None else float(t)
+    if t is not None and not 0.0 <= use_t <= 1.0:
+        raise ParamError(f"parameter t = {use_t} outside [0, 1]")
     tolerance = spec.tolerance() if callable(spec.tolerance) else spec.tolerance
     if spec.scan is not None:
         worst, witness, notes = spec.scan()
@@ -1063,10 +1055,12 @@ def search_dpi_violation(
         raise ParamError(f"dimension {dim} must be at least 2")
     if n_trials < 1:
         raise ParamError(f"n_trials must be positive, got {n_trials}")
-    for _, _, cand in _candidates(_dpi_chunk, (dim,), n_trials, rng_seed, t, ramp=True):
-        if cand.violation > TOL.dpi_margin:
-            rho, sigma = (DensityMatrix._derived(cand.fields[k]) for k in ("rho", "sigma"))
-            return _minimize_coherence(rho, sigma, t, pinching(dim))
+    for _, _, (rows, witness, _) in _chunks(_dpi_chunk, (dim,), n_trials, rng_seed, t, ramp=True):
+        for i, (v,) in enumerate(rows):
+            if v > TOL.dpi_margin:
+                fields = witness(i, 0)
+                rho, sigma = (DensityMatrix._derived(fields[k]) for k in ("rho", "sigma"))
+                return _minimize_coherence(rho, sigma, t, pinching(dim))
     return None
 
 

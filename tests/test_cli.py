@@ -573,6 +573,16 @@ def test_parser_built_once_per_process(capsys, monkeypatch, diag_pair):
     assert first == second and first[0] == 0
 
 
+@pytest.mark.parametrize("t", ["nan", "1.5"])
+def test_verify_rejects_a_t_outside_the_unit_interval(capsys, t):
+    # at t = nan every violation is NaN, which never wins: the run would
+    # report holds with an empty witness
+    code, out, err = _run(capsys, ["verify", "dpi_monotone", "--t", t, "--no-timestamp"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: parameter t = {float(t)} outside [0, 1]\n"
+
+
 def test_repeatable_flags_do_not_carry_over(capsys, diag_pair):
     a, b = diag_pair
     code, out, _ = _run(capsys, ["fidelity", a, b, "--all", "--alpha", "3", "--no-timestamp"])

@@ -40,11 +40,12 @@ from specfid.verify import (
     _REFERENCE_RHO,
     _REFERENCE_SIGMA,
     _REGISTRY,
-    Candidate,
-    _candidates,
+    PropertySpec,
+    _chunks,
     _inverse,
     _minimize_coherence,
     _pds,
+    _run_trials,
     _second_fvg,
     _second_fvg_scan,
 )
@@ -122,6 +123,11 @@ def test_run_suite_validation():
         run_suite("no_such_property")
     with pytest.raises(ParamError):
         run_suite("riccati", dims=[1])
+    # t must lie in [0, 1]: a NaN violation never wins, so t = nan would
+    # report holds with an empty witness
+    for t in (math.nan, math.inf, 1.5, -0.1):
+        with pytest.raises(ParamError, match="outside"):
+            run_suite("dpi_monotone", n_samples=3, t=t)
     # a suite that runs no trials has checked nothing
     for property_id in ("riccati", "zero_condition", "first_fvg"):
         with pytest.raises(ParamError):
@@ -258,11 +264,11 @@ def test_search_bisects_the_first_violating_trial_of_the_suite(monkeypatch, t, d
     search_dpi_violation(t, dim=dim, n_trials=200, rng_seed=seed)
     ((rho, sigma),) = bisected
     for trial in range(200):
-        ((cand,),) = _REGISTRY["dpi_monotone"].chunk([trial_rng(seed, trial)], dim, [trial], t)
-        if cand.violation > TOL.dpi_margin:
+        (value,), (fields,), _ = _alone(_REGISTRY["dpi_monotone"], seed, trial, dim, t)
+        if value > TOL.dpi_margin:
             break
-    assert np.array_equal(rho.mat, cand.fields["rho"])
-    assert np.array_equal(sigma.mat, cand.fields["sigma"])
+    assert np.array_equal(rho.mat, fields["rho"])
+    assert np.array_equal(sigma.mat, fields["sigma"])
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -441,10 +447,17 @@ def _state_from_witness(record):
 SAMPLED_SUITES = [pid for pid, spec in _REGISTRY.items() if spec.chunk is not None]
 
 
+def _trial(rows, witness, i):
+    """Trial i's row of values and the witness fields of each of its points."""
+    return rows[i], [witness(i, j) for j in range(len(rows[i]))]
+
+
 def _alone(spec, seed, trial, dim, t):
-    """The candidates of one trial run as a chunk of one."""
-    (candidates,) = spec.chunk([trial_rng(seed, trial)], dim, [trial], t)
-    return candidates
+    """One trial run as a chunk of one: its row, its points' witness
+    fields, and the chunk's peaks."""
+    rows, witness, peaks = spec.chunk([trial_rng(seed, trial)], dim, [trial], t)
+    assert len(rows) == 1
+    return (*_trial(rows, witness, 0), peaks)
 
 
 @pytest.mark.parametrize("property_id", SAMPLED_SUITES)
@@ -458,13 +471,12 @@ def test_witness_replays_from_its_trial(property_id):
     report = run_suite(property_id, n_samples=samples, rng_seed=seed)
     trial = report.worst_witness["trial"]
     dim = spec.dims[trial % len(spec.dims)]
-    candidates = _alone(spec, seed, trial, dim, spec.t)
-    recomputed = max(max(c.violation for c in candidates), 0.0)
-    assert recomputed == report.max_violation
+    row, _, _ = _alone(spec, seed, trial, dim, spec.t)
+    assert max(max(row), 0.0) == report.max_violation
 
 
 def _same(a, b) -> bool:
-    """Exact equality of candidate values and fields, matrices by bytes."""
+    """Exact equality of witness fields, matrices by bytes."""
     if isinstance(a, DensityMatrix):
         return isinstance(b, DensityMatrix) and np.array_equal(a.mat, b.mat)
     if isinstance(a, np.ndarray):
@@ -472,57 +484,104 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _assert_same_candidates(stream, alone):
-    assert len(stream) == len(alone)
-    for cand, ref in zip(stream, alone):
-        assert _same(cand.violation, ref.violation)
-        assert list(cand.fields) == list(ref.fields)
-        assert all(_same(cand.fields[k], ref.fields[k]) for k in ref.fields)
-        assert len(cand.stats) == len(ref.stats)
-        assert all(map(_same, cand.stats, ref.stats))
+def _bytes(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _assert_same_candidates(got, ref):
+    """The same row of values, byte for byte, and the same witness fields
+    of every point, key by key in order, of (row, fields, ...) pairs."""
+    (row, fields), (ref_row, ref_fields) = got[:2], ref[:2]
+    assert _bytes(row) == _bytes(ref_row)
+    assert list(map(type, row)) == list(map(type, ref_row))
+    assert len(fields) == len(ref_fields)
+    for point, ref_point in zip(fields, ref_fields):
+        assert list(point) == list(ref_point)
+        assert all(_same(point[k], ref_point[k]) for k in ref_point)
+
+
+def _peak_of(peaks) -> tuple:
+    """The elementwise maxima over several chunks' peaks; () if none has any."""
+    found = [p for p in peaks if p]
+    return tuple(map(max, *found)) if found else ()
 
 
 @pytest.mark.parametrize("property_id", SAMPLED_SUITES)
-def test_chunked_stream_equals_its_trials_one_by_one(property_id):
-    # The stream crosses the chunk cap (variational_dominance, whose
-    # trials are slow, runs one chunk) with three dims interleaved, so
-    # every chunk is split by dim; each candidate must be the one its
-    # trial gives as a chunk of one, bit for bit.
+def test_chunked_stream_equals_its_trials_one_by_one(monkeypatch, property_id):
+    # Three dims interleave, and a cap of 64 trials (2 for
+    # variational_dominance, whose trials are slow) makes every dim's
+    # trials cross a chunk boundary.  Each row and witness must be the one
+    # its trial gives as a chunk of one, bit for bit, and each chunk's
+    # peaks the maxima of its trials' own.
     spec = _REGISTRY[property_id]
     dims, seed = (2, 3, 5), 8
-    n = 5 if property_id == "variational_dominance" else _CHUNK_CAP + 50
+    cap = 2 if property_id == "variational_dominance" else 64
+    n = 3 * cap + min(cap + 1, 50)
+    monkeypatch.setattr(specfid.verify, "_CHUNK_CAP", cap)
     # the DPI stream flips its near-classical pairs below the midpoint
     t = 0.3 if property_id == "dpi_monotone" else spec.t
-    stream = list(_candidates(spec.chunk, dims, n, seed, t))
-    trials = [trial for trial, _, _ in stream]
-    assert trials == sorted(trials)
-    by_trial = {}
-    for trial, dim, cand in stream:
-        assert dim == dims[trial % 3]
-        by_trial.setdefault(trial, []).append(cand)
-    assert list(by_trial) == list(range(n))
-    for trial, cands in by_trial.items():
-        _assert_same_candidates(cands, _alone(spec, seed, trial, dims[trial % 3], t))
+    seen, chunks_per_dim = [], dict.fromkeys(dims, 0)
+    for dim, trials, (rows, witness, peaks) in _chunks(spec.chunk, dims, n, seed, t):
+        assert len(rows) == len(trials) <= cap
+        assert trials == sorted(trials) and all(dims[trial % 3] == dim for trial in trials)
+        alone = [_alone(spec, seed, trial, dim, t) for trial in trials]
+        for i, ref in enumerate(alone):
+            _assert_same_candidates(_trial(rows, witness, i), ref)
+        assert _bytes(peaks) == _bytes(_peak_of(ref[2] for ref in alone))
+        seen += trials
+        chunks_per_dim[dim] += 1
+    assert sorted(seen) == list(range(n))
+    assert min(chunks_per_dim.values()) >= 2
 
 
 def test_a_chunk_of_mixed_dims_hands_each_trial_its_own_stream():
-    # Trials of three dims share each chunk's one seeding pass; every
-    # trial still sees numpy's stream for (seed, trial) as it starts.
+    # Trials of three dims each run in their own dim's chunks, one
+    # seeding pass a chunk; every trial still sees numpy's stream for
+    # (seed, trial) as it starts.
     seen = {}
 
     def record(rngs, dim, trials, t):
         for rng, trial in zip(rngs, trials):
             seen[trial] = (dim, rng.bit_generator.state, rng.standard_normal(3))
-        return [[] for _ in trials]
+        return [], None, ()
 
     seed = 2**32 + 1
-    list(_candidates(record, (2, 3, 5), 40, seed, None))
+    list(_chunks(record, (2, 3, 5), 40, seed, None))
     assert sorted(seen) == list(range(40))
     for trial, (dim, state, draws) in seen.items():
         ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
         assert dim == (2, 3, 5)[trial % 3]
         assert state == ref.bit_generator.state
         assert np.array_equal(draws, ref.standard_normal(3))
+
+
+def _fake_spec(rows_by_trial):
+    """A suite whose trial k measures rows_by_trial[k] and whose witness
+    names the point."""
+    def chunk(rngs, dim, trials, t):
+        rows = [list(rows_by_trial[trial]) for trial, _ in zip(trials, rngs)]
+        return rows, lambda i, j: {"point": j}, ()
+    return PropertySpec(chunk, 0.0, (3, 2), len(rows_by_trial), lambda t: False, "fake")
+
+
+def test_the_winner_is_the_greatest_value_then_the_earliest_trial_and_point():
+    # dims (3, 2): dim 3 runs trials 0, 2, 4 before dim 2 runs 1, 3, 5
+    def winner(rows_by_trial):
+        worst, witness, _ = _run_trials(_fake_spec(rows_by_trial), (3, 2), len(rows_by_trial), 1,
+                                        None)
+        return worst, witness
+
+    assert winner([[0.5, 0.5]] * 6) == (0.5, {"trial": 0, "dim": 3, "point": 0})
+    # the maximum at trial 1 (dim 2) beats the same value at trial 2 (dim 3)
+    tied = [[0.1], [0.2, 0.9, 0.9], [0.9], [0.3], [0.9], [0.4]]
+    assert winner(tied) == (0.9, {"trial": 1, "dim": 2, "point": 1})
+    # a NaN never wins, not even at the head of a row
+    nan = math.nan
+    assert winner([[nan, nan], [nan, 0.3], [0.2, nan, 0.25], [nan]]) == (
+        0.3, {"trial": 1, "dim": 2, "point": 1})
+    assert winner([[0.2, nan, 0.25], [nan]]) == (0.25, {"trial": 0, "dim": 3, "point": 2})
+    # a value must beat -1 to become the witness
+    assert winner([[nan], [-1.0], [-3.0]]) == (-1.0, {})
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 8])
@@ -571,41 +630,46 @@ def test_large_dims_run_in_small_chunks(monkeypatch):
     def recorded(chunk_fn, sizes, stream):
         def chunk(rngs, dim, trials, t):
             sizes.append(len(trials))
-            for trial, cands in zip(trials, chunk_fn(rngs, dim, trials, t)):
-                stream.append((trial, list(cands)))
-                yield cands
+            rows, witness, peaks = chunk_fn(rngs, dim, trials, t)
+            stream.extend((trial, _trial(rows, witness, i)) for i, trial in enumerate(trials))
+            return rows, witness, peaks
         return chunk
 
     endpoints, dpi = _REGISTRY["endpoints"], _REGISTRY["dpi_monotone"]
     sizes, stream = [], []
-    list(_candidates(recorded(endpoints.chunk, sizes, stream), (64,), 11, 3, 0.5))
+    list(_chunks(recorded(endpoints.chunk, sizes, stream), (64,), 11, 3, 0.5))
     assert sizes == [4, 4, 3]
     assert [trial for trial, _ in stream] == list(range(11))
-    for trial, cands in stream:
-        _assert_same_candidates(cands, _alone(endpoints, 3, trial, 64, 0.5))
+    for trial, got in stream:
+        _assert_same_candidates(got, _alone(endpoints, 3, trial, 64, 0.5))
     sizes, stream = [], []
     monkeypatch.setattr(specfid.verify, "_dpi_chunk", recorded(dpi.chunk, sizes, stream))
     assert search_dpi_violation(0.5, dim=64, n_trials=11, rng_seed=3) is None
     assert sizes == [1, 2, 4, 4]
     assert [trial for trial, _ in stream] == list(range(11))
-    for trial, cands in stream:
-        _assert_same_candidates(cands, _alone(dpi, 3, trial, 64, 0.5))
-    # up to d = 8 the cap stays 256 trials, here split over two dims
-    sizes.clear()
-    list(_candidates(lambda rngs, dim, trials, t: sizes.append(len(trials)) or
-                     [[] for _ in trials], (2, 8), 600, 3, 0.5))
-    assert max(sizes) == _CHUNK_CAP // 2
+    for trial, got in stream:
+        _assert_same_candidates(got, _alone(dpi, 3, trial, 64, 0.5))
+    # up to d = 8 the cap stays 256 trials, and each dim fills its own
+    # chunks; a dim's cap is its own, whatever other dims the run has
+    def sizes_of(dims, n):
+        sizes = []
+        list(_chunks(lambda rngs, dim, trials, t: sizes.append(len(trials)), dims, n, 3, 0.5))
+        return sizes
+
+    assert sizes_of((2, 8), 600) == [_CHUNK_CAP, 300 - _CHUNK_CAP] * 2
+    assert sizes_of((2, 64), 20) == [10, 4, 4, 2]
 
 
 def _draw_by_draw(rng, dim, t):
     """variational_dominance's trial as it ran before its feasibility loop
-    took rounds of draws: (candidates, feasible stack, fallbacks taken)."""
+    took rounds of draws: ((row, witness fields, peaks), feasible stack,
+    fallbacks taken)."""
     t_grid = (0.1, 0.25, 0.4, 0.5) if t is None else (t,)
     rho, sigma = (stack[0] for stack in _densities([rng], dim, dim, dim))
     x_star = _mean(rho, sigma, riccati=True)[0]
     inv_rho = _inverse(rho)
     if not _block_psd(inv_rho, x_star, sigma):
-        return [Candidate(1.0, {"rho": rho, "sigma": sigma}, (1.0,))], None, 0
+        return ([1.0], [{"rho": rho, "sigma": sigma}], (1.0,)), None, 0
     root = power(*psd_eig(x_star), 0.5, support_only=False)
     targets = _spectral_fidelities(rho, sigma, t_grid)
     feasible, fallbacks = [], 0
@@ -620,9 +684,9 @@ def _draw_by_draw(rng, dim, t):
                 continue
         feasible.append(cand)
     gaps = (_power_traces(rho, np.array(feasible), t_grid) - targets).tolist()
-    cands = [Candidate(v, {"t": tg, "rho": rho, "sigma": sigma})
-             for row in gaps for tg, v in zip(t_grid, row)]
-    return cands, np.array(feasible), fallbacks
+    row = [v for values in gaps for v in values]
+    fields = [{"t": tg, "rho": rho, "sigma": sigma} for _ in gaps for tg in t_grid]
+    return (row, fields, ()), np.array(feasible), fallbacks
 
 
 @pytest.mark.parametrize("seed", [7, 42, 2**32])
@@ -651,9 +715,10 @@ def test_feasibility_rounds_equal_the_draw_by_draw_loop(monkeypatch, seed):
         for trial in range(5 * k, 5 * k + 5):
             dim = 2 + trial % 5
             feasible.clear()
-            (cands,) = spec.chunk([trial_rng(seed, trial)], dim, [trial], t)
+            got = _alone(spec, seed, trial, dim, t)
             ref, ref_feasible, n = _draw_by_draw(trial_rng(seed, trial), dim, t)
-            _assert_same_candidates(list(cands), ref)
+            _assert_same_candidates(got, ref)
+            assert got[2] == ref[2]
             assert feasible[0].tobytes() == ref_feasible.tobytes()
             fallbacks += n
     assert fallbacks > 0

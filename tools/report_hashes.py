@@ -65,6 +65,8 @@ CLI_RUNS = [
     _VERIFY + ["--seed", "42", "--samples", "37"],
     _VERIFY + ["--seed", "5", "--dims", "2,4,6", "--samples", "300"],
     _VERIFY + ["--seed", "4294967296", "--samples", "40"],
+    # repeated, unsorted dims: trials group by dim value, ties break across dims
+    _VERIFY + ["--seed", "3", "--dims", "4,2,4", "--samples", "40"],
     _DPI + ["--t", "0.8"],
     _DPI + ["--t", "0.8", "--dims", "3"],
     _DPI + ["--t", "0.5", "--samples", "2000"],
